@@ -26,10 +26,13 @@ Usage:
       Exit 1 if any metric falls below threshold * BASELINE. With several
       CURRENT snapshots, each metric is gated on its best sample.
 
-Absolute numbers only compare on the same hardware (snapshots record nproc);
-the default threshold of 0.7 (fail on a >30% drop) leaves room for machine
-noise while catching a real regression, which historically showed up as a
-2-4x drop, not 30%.
+Absolute numbers only compare like with like, so `compare` first checks that
+every CURRENT snapshot records the baseline's nproc, threads and scale, and
+exits 1 with a one-line reason when one does not: a gate against a baseline
+from other hardware or another config measures the difference between the
+experiments, not a regression. The default threshold of 0.7 (fail on a
+>30% drop) leaves room for machine noise while catching a real regression,
+which historically showed up as a 2-4x drop, not 30%.
 
 Best-of-N exists because one sample at smoke scale (fractions of a second
 per cell) is noise-dominated: scheduling hiccups only ever subtract
@@ -136,9 +139,26 @@ def cmd_env(args):
     return 0
 
 
+# Snapshot header fields that must match for throughput to be comparable.
+LIKE_FOR_LIKE = ("nproc", "threads", "scale")
+
+
+def config_mismatch(base, current):
+    """Returns 'field (baseline X, current Y)' for each differing field."""
+    return [f"{key} (baseline {base.get(key)}, current {current.get(key)})"
+            for key in LIKE_FOR_LIKE if base.get(key) != current.get(key)]
+
+
 def cmd_compare(args):
     base = load(args.baseline)
     currents = [load(path) for path in args.current]
+    for path, cur in zip(args.current, currents):
+        diffs = config_mismatch(base, cur)
+        if diffs:
+            print(f"bench-regress FAILED: {path} is not comparable with "
+                  f"{args.baseline}: differs in {', '.join(diffs)}",
+                  file=sys.stderr)
+            return 1
     failures = []  # (metric, human-readable reason)
     for name, extract in METRICS:
         b = extract(base)

@@ -10,12 +10,14 @@
 #
 #   scripts/check.sh                  # release + full ctest, ASan, TSan,
 #                                     # ubsan, crash, bench-smoke,
-#                                     # bench-regress, lint, tidy, format
+#                                     # bench-regress, perfbench, lint, tidy,
+#                                     # format
 #   scripts/check.sh --fast           # release unit tests only (no bench builds)
 #   scripts/check.sh --ci             # non-interactive; per-stage timing lines
 #   scripts/check.sh --stage <name>   # one stage:
 #                                     # release|asan|tsan|ubsan|crash|tidy|lint|
-#                                     # bench-smoke|bench-regress|format|all
+#                                     # bench-smoke|bench-regress|perfbench|
+#                                     # format|all
 #
 # The CI matrix (.github/workflows/ci.yml) runs one --stage per job so the
 # sanitizer/analysis configs build and cache independently. `tidy` (like
@@ -40,7 +42,7 @@ while [[ $# -gt 0 ]]; do
     --fast) FAST=1 ;;
     --ci) CI=1 ;;
     --stage)
-      STAGE="${2:?--stage needs release|asan|tsan|ubsan|crash|tidy|lint|bench-smoke|bench-regress|format|all}"
+      STAGE="${2:?--stage needs release|asan|tsan|ubsan|crash|tidy|lint|bench-smoke|bench-regress|perfbench|format|all}"
       shift
       ;;
     *)
@@ -223,7 +225,9 @@ run_bench_regress() {
   # speculative cursor-window fast path — so the next regression fails the
   # PR that causes it, not an archaeology dig two PRs later. Same-hardware caveat as the
   # snapshots themselves: the gate compares against a baseline recorded on
-  # THIS machine (CI baselines come from CI runs).
+  # THIS machine (CI baselines come from CI runs), and `compare` fails
+  # outright when the run's nproc, threads or scale differ from the
+  # baseline's, so a baseline from other hardware needs replacing.
   if ! command -v python3 >/dev/null 2>&1; then
     echo "python3 required for bench-regress" >&2
     exit 1
@@ -264,6 +268,19 @@ run_bench_regress() {
   stage_end "bench-regress"
 }
 
+run_perfbench() {
+  stage_begin "perfbench: the service benchmark's own tests"
+  # perfbench/ledger_test.cc checks the benchmark's percentiles, Zipf ranks
+  # and self-time arithmetic. run.py builds it from this checkout's sources
+  # into .bench_build (or $CARGO_TARGET_DIR) and runs it.
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "python3 required for perfbench" >&2
+    exit 1
+  fi
+  python3 perfbench/run.py --self-test
+  stage_end "perfbench"
+}
+
 run_format() {
   stage_begin "format: clang-format --dry-run over src/ tests/ bench/"
   if ! command -v clang-format >/dev/null 2>&1; then
@@ -290,6 +307,7 @@ case "$STAGE" in
   lint) run_lint ;;
   bench-smoke) run_bench_smoke ;;
   bench-regress) run_bench_regress ;;
+  perfbench) run_perfbench ;;
   format) run_format ;;
   all)
     run_release
@@ -302,12 +320,13 @@ case "$STAGE" in
     run_crash
     run_bench_smoke
     run_bench_regress
+    run_perfbench
     run_lint
     run_tidy
     run_format
     ;;
   *)
-    echo "unknown stage '$STAGE' (release|asan|tsan|ubsan|crash|tidy|lint|bench-smoke|bench-regress|format|all)" >&2
+    echo "unknown stage '$STAGE' (release|asan|tsan|ubsan|crash|tidy|lint|bench-smoke|bench-regress|perfbench|format|all)" >&2
     exit 2
     ;;
 esac

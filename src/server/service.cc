@@ -80,8 +80,19 @@ void Service::Execute(const std::vector<Request>& batch,
   // Uncontended in today's fixed-topology service; pins the shard set for
   // the whole batch once live resharding takes the exclusive side.
   ScopedReadLock topo(topo_mu_);
-  responses->clear();
+  // Reuses the caller's response storage (service.h): kept slots keep their
+  // heap capacity, and one pass resets each to a fresh Response's state.
+  // Scan slots keep their items for ExecuteScan to overwrite in place.
   responses->resize(batch.size());
+  for (size_t i = 0; i < batch.size(); i++) {
+    Response& r = (*responses)[i];
+    r.found = false;
+    r.ok = true;
+    r.value.clear();
+    if (batch[i].op != Op::kScan && batch[i].op != Op::kScanRev) {
+      r.items.clear();
+    }
+  }
 
   // Stable grouping: per-shard sub-batches preserve submission order, which
   // is what makes per-key semantics exactly sequential (all ops on one key
@@ -259,36 +270,48 @@ void Service::RunShardOps(size_t s, const std::vector<Request>& batch,
 // hint, so a short scan engages the core's bounded fill and copies only the
 // items it returns; the drain emits the limit-th item without stepping past
 // it, so the cursor never pays a repositioning nobody consumes.
+//
+// resp->items arrives holding whatever the caller's previous batch left in
+// this slot. Item n is assigned into the existing element while there is one,
+// so its strings' capacity is reused, and appended past the old size; the
+// stale tail is cut off at the end.
 void Service::ExecuteScan(size_t first_shard, const Request& req,
                           Response* resp,
                           std::vector<std::unique_ptr<Cursor>>* cursors) {
-  resp->items.clear();
+  std::vector<std::pair<std::string, std::string>>& items = resp->items;
   const size_t limit = req.scan_limit;
   if (limit == 0) {
-    return;  // contract (service.h): scan_limit 0 -> empty response
+    items.clear();  // contract (service.h): scan_limit 0 -> empty response
+    return;
   }
-  resp->items.reserve(std::min<size_t>(limit, 1024));
   if (cursors->size() != shards_.size()) {
     cursors->resize(shards_.size());  // first scan of the batch
   }
   const bool reverse = req.op == Op::kScanRev;
   const size_t candidates =
       reverse ? first_shard + 1 : shards_.size() - first_shard;
-  for (size_t i = 0; i < candidates && resp->items.size() < limit; i++) {
+  size_t n = 0;  // items emitted so far
+  for (size_t i = 0; i < candidates && n < limit; i++) {
     const size_t s = reverse ? first_shard - i : first_shard + i;
     if ((*cursors)[s] == nullptr) {
       (*cursors)[s] = shards_[s]->index->NewCursor();
     }
     Cursor* c = (*cursors)[s].get();
-    c->SetScanLimitHint(limit - resp->items.size());
+    c->SetScanLimitHint(limit - n);
     if (reverse) {
       c->SeekForPrev(req.key);
     } else {
       c->Seek(req.key);
     }
+    // hot-path: per-item drain, copying into reused item storage
     while (c->Valid()) {
-      resp->items.emplace_back(std::string(c->key()), std::string(c->value()));
-      if (resp->items.size() == limit) {
+      if (n < items.size()) {
+        items[n].first.assign(c->key());
+        items[n].second.assign(c->value());
+      } else {
+        items.emplace_back(c->key(), c->value());
+      }
+      if (++n == limit) {
         break;
       }
       if (reverse) {
@@ -298,6 +321,7 @@ void Service::ExecuteScan(size_t first_shard, const Request& req,
       }
     }
   }
+  items.resize(n);  // n <= items.size(): only truncates
 }
 
 durability::Status Service::Checkpoint() {

@@ -127,7 +127,12 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   // Executes one batch; *responses is resized to batch.size() and
-  // responses[i] answers batch[i]. EXCLUDES(topo_mu_) is the annotated form
+  // responses[i] answers batch[i], every field as a freshly constructed
+  // Response would carry it. Execute reuses the capacity *responses already
+  // holds: pass the same vector batch after batch and scan items overwrite
+  // the previous batch's strings in place instead of reallocating them. The
+  // vector keeps that capacity afterwards; a caller done with it releases it
+  // by swapping in an empty vector. EXCLUDES(topo_mu_) is the annotated form
   // of the threading contract above: any number of client threads may call
   // concurrently (each takes topo_mu_ shared itself), but never from a
   // context already holding the topology lock.
@@ -175,7 +180,9 @@ class Service {
     durability::Status first_error GUARDED_BY(wal_mu);
   };
 
-  // Reusable per-batch scratch (see Execute) — keeps allocation flat.
+  // Staging buffers for one Execute call, built fresh on every call and
+  // shared by all of that batch's shard sub-batches and op runs, so a batch
+  // allocates them once rather than once per MultiGet/MultiPut run.
   struct ExecScratch {
     std::vector<std::string_view> keys;
     std::vector<std::string> values;

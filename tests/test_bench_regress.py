@@ -28,7 +28,7 @@ def check(name, cond, detail=""):
 
 
 def snapshot(ycsb_e=None, fwd100=None, read1t=None, short16=None, scale=1000,
-             threads=4, seconds=1):
+             threads=4, seconds=1, nproc=4):
     """Build a snapshot dict in the shape bench_snapshot.sh emits. Any
     metric can be omitted to simulate an old/partial snapshot."""
     benches = []
@@ -79,8 +79,8 @@ def snapshot(ycsb_e=None, fwd100=None, read1t=None, short16=None, scale=1000,
                 ],
             }],
         })
-    return {"scale": scale, "threads": threads, "seconds": seconds,
-            "benches": benches}
+    return {"nproc": nproc, "scale": scale, "threads": threads,
+            "seconds": seconds, "benches": benches}
 
 
 def write(root, name, snap):
@@ -97,11 +97,12 @@ def run(*argv):
 
 
 with tempfile.TemporaryDirectory() as root:
-    base = write(root, "base.json", snapshot(ycsb_e=10.0, fwd100=2.0,
-                                             scale=5000, threads=8, seconds=3))
+    base = write(root, "base.json", snapshot(ycsb_e=10.0, fwd100=2.0))
 
     print("[env]")
-    code, out, err = run("env", base)
+    code, out, err = run("env", write(root, "base_env.json",
+                                      snapshot(ycsb_e=10.0, scale=5000,
+                                               threads=8, seconds=3)))
     check("env exits 0", code == 0, f"(exit {code}, stderr {err!r})")
     check("env prints scale/threads/seconds", out.strip() == "5000 8 3",
           f"(got {out.strip()!r})")
@@ -229,6 +230,50 @@ with tempfile.TemporaryDirectory() as root:
     check("metric absent from every sample exits 1", code == 1
           and "fig18-fwd-100 missing from the current run" in err,
           f"(exit {code}, stderr {err!r})")
+
+    print("[compare config mismatch]")
+    # Throughput only compares like with like: a current snapshot taken on
+    # another core count, thread count or scale fails before any metric is
+    # gated, even when every metric would clear its floor.
+    for field, kwargs, shown in (
+            ("nproc", {"nproc": 1}, "nproc (baseline 4, current 1)"),
+            ("threads", {"threads": 2}, "threads (baseline 4, current 2)"),
+            ("scale", {"scale": 0.01}, "scale (baseline 1000, current 0.01)")):
+        cur = write(root, f"cur_cfg_{field}.json",
+                    snapshot(ycsb_e=20.0, fwd100=4.0, **kwargs))
+        code, out, err = run("compare", base, cur)
+        check(f"{field} mismatch exits 1", code == 1,
+              f"(exit {code}, out {out!r})")
+        lines = err.strip().splitlines()
+        check(f"{field} mismatch gives one reason line", len(lines) == 1
+              and "not comparable" in lines[0] and shown in lines[0],
+              f"(stderr {err!r})")
+        check(f"{field} mismatch gates no metric", "service-ycsb-e" not in out,
+              f"(out {out!r})")
+    # Every sample must match, not just the first one.
+    code, out, err = run("compare", base,
+                         write(root, "cur_cfg_ok.json",
+                               snapshot(ycsb_e=9.0, fwd100=1.9)),
+                         write(root, "cur_cfg_late.json",
+                               snapshot(ycsb_e=9.0, fwd100=1.9, nproc=2)))
+    check("mismatch in a later sample exits 1", code == 1
+          and "cur_cfg_late.json" in err and "nproc" in err,
+          f"(exit {code}, stderr {err!r})")
+    # A snapshot without an nproc field does not match one that records it.
+    legacy = snapshot(ycsb_e=9.0, fwd100=1.9)
+    del legacy["nproc"]
+    code, out, err = run("compare", base,
+                         write(root, "cur_cfg_legacy.json", legacy))
+    check("missing nproc exits 1", code == 1
+          and "nproc (baseline 4, current None)" in err,
+          f"(exit {code}, stderr {err!r})")
+    # Measure time is not part of the config match: the gate re-runs at the
+    # baseline's seconds anyway, and a longer run only lowers the noise.
+    code, out, err = run("compare", base,
+                         write(root, "cur_cfg_seconds.json",
+                               snapshot(ycsb_e=9.0, fwd100=1.9, seconds=5)))
+    check("seconds alone may differ", code == 0,
+          f"(exit {code}, out {out!r}, err {err!r})")
 
     print("[compare custom threshold]")
     # 10% drop passes the default 0.7 gate but fails --threshold 0.95.

@@ -768,6 +768,40 @@ TEST(DurableService, FsyncFailureRefusesAckAndGoesFailStop) {
   EXPECT_EQ(got.count("key9"), 0u);
 }
 
+// Execute reuses the caller's response vector (service.h), so a slot that
+// answered a refused mutation with ok == false must not carry that false
+// into the read the same slot answers in the next batch.
+TEST(DurableService, RefusedMutationOkDoesNotLeakIntoReusedResponse) {
+  const std::string dir = FreshDir("svc_okreuse");
+  du::FaultPlan plan;
+  du::Fs fs(&plan);
+  Service service(DurableOpts(dir, &fs), ShardRouter({}));
+  ASSERT_TRUE(service.durability_status().ok());
+  std::vector<Request> batch{MakePut("key-a", "value-a")};
+  std::vector<Response> responses;
+  service.Execute(batch, &responses);
+  ASSERT_TRUE(responses[0].ok);
+
+  plan.FailFsyncAfter(0);
+  batch = {MakePut("key-b", "value-b"), MakeDel("key-a")};
+  service.Execute(batch, &responses);
+  ASSERT_FALSE(service.durability_status().ok());
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_FALSE(responses[1].ok);
+
+  // Same vector, same slots, now carrying reads: fail-stop still serves them.
+  batch = {MakeGet("key-a"), MakeGet("key-b")};
+  service.Execute(batch, &responses);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(responses[0].ok);
+  EXPECT_TRUE(responses[0].found);
+  EXPECT_EQ(responses[0].value, "value-a");
+  EXPECT_TRUE(responses[1].ok);
+  EXPECT_FALSE(responses[1].found);  // the refused Put was never applied
+  EXPECT_TRUE(responses[1].value.empty());
+}
+
 TEST(DurableService, IntervalAndNonePoliciesStillRecoverCleanly) {
   for (const auto policy : {du::WalOptions::Fsync::kInterval,
                             du::WalOptions::Fsync::kNone}) {

@@ -480,6 +480,88 @@ TEST(Service, ZeroScanLimitYieldsEmptyResponse) {
   EXPECT_TRUE(responses[4].items.empty());
 }
 
+// Execute reuses the caller's response vector (service.h). One vector is
+// carried across batches in which every slot cycles long kScan -> Get miss ->
+// Get hit -> Delete of an absent key -> short kScanRev -> scan_limit 0 -> Put,
+// and the batch shrinks and regrows (128 -> 3 -> 128). After the regrow the
+// cycle is walked four steps at a time, so a long scan is followed by a short
+// scan in the same slot and its stale item tail must be cut off. Each batch
+// must read exactly as it does into a freshly constructed vector. Keys and
+// values are over 15 bytes, so every string lives in a heap buffer that reuse
+// could leave stale. Puts rewrite a loaded key with its own value, so running
+// a batch twice leaves the store, and hence the answers, unchanged.
+TEST(Service, ReusedResponsesCarryNoStaleState) {
+  constexpr int kKeys = 2000;
+  const auto key = [](int i, const char* tag) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "reused-key-%05d-%s", i, tag);
+    return std::string(buf);
+  };
+  const auto value = [](int i) {
+    return "reused-value-" + std::to_string(i) + "-padding";
+  };
+  Service service(ServiceOptions{},
+                  ShardRouter({key(500, "a"), key(1000, "a"), key(1500, "a")}));
+  std::vector<Request> batch;
+  std::vector<Response> responses;
+  for (int i = 0; i < kKeys; i++) {
+    batch.push_back(Request{Op::kPut, key(i, "a"), value(i), 0});
+  }
+  service.Execute(batch, &responses);
+  ASSERT_EQ(service.size(), static_cast<size_t>(kKeys));
+
+  constexpr int kCycle = 7;
+  const std::vector<size_t> sizes = {128, 128, 128, 128, 128, 128, 128, 3,
+                                     128, 128, 128, 128, 128, 128, 128};
+  Rng rng(0x5eed);
+  size_t phase = 0;  // slot i runs cycle step (i + phase) % kCycle
+  for (size_t round = 0; round < sizes.size(); round++) {
+    batch.clear();
+    for (size_t i = 0; i < sizes[round]; i++) {
+      const int k = static_cast<int>(rng.NextBounded(kKeys));
+      switch ((i + phase) % kCycle) {
+        case 0:
+          batch.push_back(Request{Op::kScan, key(k, ""), "", 100});
+          break;
+        case 1:
+          batch.push_back(Request{Op::kGet, key(k, "absent"), "", 0});
+          break;
+        case 2:
+          batch.push_back(Request{Op::kGet, key(k, "a"), "", 0});
+          break;
+        case 3:
+          batch.push_back(Request{Op::kDelete, key(k, "absent"), "", 0});
+          break;
+        case 4:
+          batch.push_back(Request{Op::kScanRev, key(k, "b"), "", 3});
+          break;
+        case 5:
+          batch.push_back(Request{Op::kScan, key(k, ""), "", 0});
+          break;
+        default:
+          batch.push_back(Request{Op::kPut, key(k, "a"), value(k), 0});
+          break;
+      }
+    }
+    service.Execute(batch, &responses);
+    std::vector<Response> fresh;
+    service.Execute(batch, &fresh);
+    ASSERT_EQ(responses.size(), batch.size()) << "round " << round;
+    ASSERT_EQ(fresh.size(), batch.size()) << "round " << round;
+    for (size_t i = 0; i < batch.size(); i++) {
+      SCOPED_TRACE("round " + std::to_string(round) + " slot " +
+                   std::to_string(i));
+      EXPECT_EQ(responses[i].found, fresh[i].found);
+      EXPECT_EQ(responses[i].ok, fresh[i].ok);
+      EXPECT_EQ(responses[i].value, fresh[i].value);
+      EXPECT_EQ(responses[i].items, fresh[i].items);
+    }
+    // Not vacuous: the slot carrying this round's long scan returns items.
+    EXPECT_FALSE(fresh[(kCycle - phase % kCycle) % kCycle].items.empty());
+    phase += round < 7 ? 1 : 4;
+  }
+}
+
 TEST(Service, ConcurrentClientsKeepPerKeySemantics) {
   // 4 client threads, disjoint key ranges interleaved across shards: each
   // thread can assert its own keys' final state exactly, while all threads
