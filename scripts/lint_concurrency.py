@@ -37,22 +37,23 @@ Rules (each also documented in README.md "Static analysis"):
 
   seqlock-order    The leaf `version` seqlock counter has exactly one legal
                    protocol (odd/even write sections, acquire-validated
-                   reads), implemented by the helpers in src/core/leaf_ops.h
-                   and their call sites in src/core/wormhole.cc — today the
-                   point-read (OptimisticLeafGet) and cursor window-fill
-                   (TrySpecFill / SpecHop*) speculative paths. Any direct
-                   `version` load/store/RMW or operator form in any other
-                   file fails; inside the two home files, method calls must
-                   still name an explicit std::memory_order and operator
+                   reads), implemented by the helpers in src/core/leaf_ops.h,
+                   its one home file. Every other file, src/core/wormhole.cc
+                   included, hands the counter to those helpers
+                   (SeqlockReadBegin / SeqlockReadValidate /
+                   SeqlockWriteSection); a direct `version` load/store/RMW
+                   there fails. Inside the home file, method calls must
+                   still name an explicit std::memory_order, and operator
                    forms (implicit seq_cst, and invisible to review) are
-                   banned outright. Passing `&leaf->version` to a helper is
-                   the sanctioned handoff and does not match. The leaf
-                   retirement flag `dead` rides on the same protocol (its
-                   store publishes under the removal write section; readers
-                   recheck it after validate), so its atomic METHOD CALLS
-                   are policed the same way — call forms only, because
-                   LeafStore::dead is an unrelated plain dead-bytes counter
-                   whose `+=` must not match.
+                   banned everywhere. Passing `&leaf->version` or
+                   `leaf->version` to a helper is the sanctioned handoff and
+                   does not match. The leaf retirement flag `dead` rides on
+                   the same protocol (its store publishes under the removal
+                   write section; readers recheck it after validate), so its
+                   atomic METHOD CALLS are policed the same way with two home
+                   files, leaf_ops.h and wormhole.cc (which owns the flag) —
+                   call forms only, because LeafStore::dead is an unrelated
+                   plain dead-bytes counter whose `+=` must not match.
 
 Suppression, most-specific first:
   - inline waiver: a `// lint:allow(<rule>): <reason>` comment on the
@@ -106,9 +107,12 @@ RAW_IO_STD_RE = re.compile(
     r"std::(?:ofstream|ifstream|fstream|filesystem\b|fopen|fwrite|fread|"
     r"fflush|remove\s*\(|rename\s*\()")
 
-# Files allowed to touch the seqlock counter directly: the helper layer and
-# the one translation unit that brackets mutations / validates reads with it.
-SEQLOCK_HOME_FILES = ("src/core/leaf_ops.h", "src/core/wormhole.cc")
+# The one file allowed to touch the seqlock counter directly: the helper
+# layer. Everyone else (wormhole.cc included) goes through its helpers.
+SEQLOCK_HOME_FILES = ("src/core/leaf_ops.h",)
+# The retirement flag is also owned by the translation unit that sets it
+# inside the removal write section and rechecks it after validation.
+DEAD_HOME_FILES = ("src/core/leaf_ops.h", "src/core/wormhole.cc")
 
 # `version` reached as a member (x.version.load(...), p->version.store(...))
 # or directly, followed by an atomic method call.
@@ -338,16 +342,15 @@ class Linter:
                         "use .load/.store/.fetch_* with an explicit order")
 
     def check_seqlock_order(self, relpath, code, code_lines, raw_lines):
-        home = relpath in SEQLOCK_HOME_FILES
         # Method-call forms, against the flat text so multi-line argument
         # lists still parse.
         for m in SEQLOCK_CALL_RE.finditer(code):
             lineno = code.count("\n", 0, m.start()) + 1
-            if not home:
+            if relpath not in SEQLOCK_HOME_FILES:
                 self.report(
                     "seqlock-order", relpath, lineno, raw_lines,
                     "direct access to the leaf seqlock counter outside "
-                    "leaf_ops.h/wormhole.cc; use the SeqlockReadBegin/"
+                    "leaf_ops.h; use the SeqlockReadBegin/"
                     "SeqlockReadValidate/SeqlockWriteSection helpers")
                 continue
             args = call_args(code, m.end() - 1)
@@ -356,11 +359,11 @@ class Linter:
                     "seqlock-order", relpath, lineno, raw_lines,
                     f"seqlock counter .{m.group(1)}() without an explicit "
                     "std::memory_order")
-        # The retirement flag: same home files, same explicit-order demand
+        # The retirement flag: its own home files, same explicit-order demand
         # (call forms only — see SEQLOCK_DEAD_CALL_RE).
         for m in SEQLOCK_DEAD_CALL_RE.finditer(code):
             lineno = code.count("\n", 0, m.start()) + 1
-            if not home:
+            if relpath not in DEAD_HOME_FILES:
                 self.report(
                     "seqlock-order", relpath, lineno, raw_lines,
                     "direct access to the leaf retirement flag outside "

@@ -53,14 +53,19 @@
 //     bytes out of the leaf slab through relaxed atomic loads, issues an
 //     acquire fence, and re-reads the version. An unchanged even version
 //     proves no writer overlapped the copy, so the bytes are a consistent
-//     snapshot; any change discards the copy and retries. After
-//     Options::optimistic_retries failed attempts (or on a dead/moved leaf)
-//     the read falls back to the shared-lock path below, so readers cannot
-//     livelock under write storms. The fast path performs zero atomic RMW:
-//     no reader-count cache line bounces between cores.
-//   - The locked fallback (also the cursor fill fallback) takes the target
-//     leaf's reader-writer lock, validates coverage, and retries a stale
-//     route; after a bounded number of attempts it serializes with writers.
+//     snapshot; any change discards the copy and retries. The fast path
+//     performs zero atomic RMW: no reader-count cache line bounces between
+//     cores.
+//   - One reader per operation, not two: after Options::optimistic_retries
+//     failed attempts (or from the start when that is 0) the operation
+//     reruns the SAME reader while holding the target leaf's lock in shared
+//     mode. No write section can be open under that lock, so validation
+//     cannot fail; only a moved or retired leaf still re-routes.
+//     AcquireLeaf takes the lock, validates coverage, retries a stale route,
+//     and after a bounded number of attempts serializes with structural
+//     writers, so readers cannot livelock under write storms. The cursor
+//     falls back the same way, and an operation that took the lock stays
+//     locked.
 //   - In-leaf writes (update / insert with room / non-emptying delete) take
 //     only that leaf's lock, and bracket every store mutation in a seqlock
 //     write section (leaf_ops.h): version goes odd, a release fence, the
@@ -91,30 +96,28 @@
 //     (leafops::SpecFillWindow), then validate — acquire fence, version
 //     unchanged, leaf not dead. A validated window is a consistent snapshot
 //     taken with ZERO atomic RMW: read-only scans never write a leaf lock
-//     word or any other shared cache line. While a validated window drains,
-//     the cursor prefetches the NEXT leaf's rank index / slot array / slab
-//     (safe precisely because the speculative path holds no lock — the
+//     word or any other shared cache line. After Options::optimistic_retries
+//     failed validations the same fill reruns under the leaf's shared lock
+//     (routed through AcquireLeaf when positioning), exactly like Get.
+//     While a validated window drains, the cursor prefetches the NEXT leaf's
+//     rank index / slot array / slab — issued only once no lock is held (the
 //     neighbor's blocks are QSBR-protected and prefetch is invisible to the
-//     memory model). After Options::optimistic_retries failed validations
-//     the fill falls back to the locked path below, exactly like Get.
-//   - The locked fallback routes through AcquireLeaf (lock + covers-
-//     validation + bounded retry), computes the seek rank against the live
-//     store, and fills the same flat window under the per-leaf shared lock.
-//     Either way the fill honors SetScanLimitHint — a scan that fits the
-//     hint copies only the items it will emit and nothing else; without a
-//     hint the fill covers the rest of the leaf. User code only ever sees
-//     the window: no cursor path holds a leaf lock while invoking user code,
-//     and a cursor parked between calls blocks no writer.
+//     memory model). Either way the fill
+//     honors SetScanLimitHint — a scan that fits the hint copies only the
+//     items it will emit and nothing else; without a hint the fill covers
+//     the rest of the leaf. User code only ever sees the window: no cursor
+//     path holds a leaf lock while invoking user code, and a cursor parked
+//     between calls blocks no writer.
 //   - Next/Prev past a window edge flush with the leaf boundary hop to the
 //     neighbor leaf: load the neighbor pointer, revalidate the drained
 //     leaf's version (which proves the pointer still bounds the window),
-//     then speculatively fill the neighbor — plus its dead flag and, going
-//     backward, the back-link. Past a TRUNCATED edge (bounded fill left
-//     items behind in the same leaf) the cursor refills from the same leaf.
-//     Any lost race — the leaf split, was removed, or the neighbor changed
-//     mid-hop — falls back to the locked hop (version-equality check under
-//     the lock) and ultimately a fresh re-Seek from the last returned key,
-//     which can only re-route, never skip or duplicate a persistent key.
+//     then fill the neighbor — plus its dead flag and, going backward, the
+//     back-link. Past a TRUNCATED edge (bounded fill left items behind in
+//     the same leaf) the cursor refills from the same leaf. Any lost race —
+//     the leaf split, was removed, or the neighbor changed mid-hop — falls
+//     back to the same hop with the neighbor filled under its lock, and
+//     ultimately a fresh re-Seek from the last returned key, which can only
+//     re-route, never skip or duplicate a persistent key.
 // Consequence: a cursor observes each window atomically (a consistent
 // snapshot at fill time); concurrent inserts/deletes elsewhere may or may
 // not be seen, and keys present for the whole traversal are seen exactly
@@ -165,10 +168,11 @@ struct Options {
   bool count_probes = false;
   // Clamped to [4, 4096]: leaf indexes use 16-bit slot ids.
   size_t leaf_capacity = 128;
-  // Class Wormhole only: lock-free seqlock-validated Get/MultiGet attempts
-  // before a key falls back to the shared-lock read path. 0 disables the
-  // optimistic path entirely (every read locks) — the forced-fallback tests
-  // pin it there to exercise the fallback deterministically.
+  // Class Wormhole only: lock-free seqlock-validated read attempts (Get,
+  // MultiGet, cursor fills) before an operation reruns its reader under the
+  // shared leaf lock. 0 disables the lock-free attempts entirely (every
+  // read locks) — the forced-fallback tests pin it there to exercise the
+  // fallback deterministically.
   uint32_t optimistic_retries = 3;
 };
 
@@ -299,10 +303,9 @@ class Wormhole {
   // hash probe per in-flight key and prefetches the next bucket line while
   // the other keys' probes execute, then leaf headers are prefetched before
   // the in-leaf searches run — so the batch overlaps the memory latencies a
-  // serial loop would pay back-to-back. Stage 3 serves each key with the same
-  // lock-free optimistic protocol as Get (the pipelined route is the first
-  // candidate; exhausted retries fall back to a per-key locked lookup), so
-  // the batch fast path touches no leaf lock at all. Returns the hit count.
+  // serial loop would pay back-to-back. Stage 3 serves each key with Get's
+  // reader (ReadKey; the pipelined route is the first candidate), so the
+  // batch fast path touches no leaf lock at all. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -357,18 +360,27 @@ class Wormhole {
   static bool Covers(const Leaf* leaf, std::string_view key);
 
   enum class SpecOutcome { kHit, kMiss, kRetry };
-  // One lock-free optimistic read attempt against a routed leaf candidate.
-  // kHit/kMiss are seqlock-validated verdicts (the leaf version held still
-  // across the speculative copy); kRetry means the snapshot was unusable —
-  // odd/changed version, dead leaf, key outside the anchor range, or an
-  // internally impossible store snapshot. On kMiss/kRetry *value may hold
-  // scribbled bytes.
+  // One seqlock-bracketed read attempt against a routed leaf candidate —
+  // lock-free, or under leaf->lock held shared as the fallback. kHit/kMiss
+  // are validated verdicts (the leaf version held still across the
+  // speculative copy); kRetry means the snapshot was unusable — odd/changed
+  // version, dead leaf, key outside the anchor range, or an internally
+  // impossible store snapshot. Under the shared lock only the dead-leaf and
+  // anchor-range cases can occur. On kMiss/kRetry *value may hold scribbled
+  // bytes.
   // NO_TSA: the seqlock-reader shape (sync.h usage rules) — reads
   // GUARDED_BY(leaf->lock) data with no lock and discards the result unless
   // the version validates; the TSan stage exercises the race directly.
   SpecOutcome OptimisticLeafGet(Leaf* leaf, std::string_view key,
                                 uint32_t kv_hash, std::string* value) const
       NO_THREAD_SAFETY_ANALYSIS;
+  // Get's and MultiGet's one reader for one key: Options::optimistic_retries
+  // lock-free OptimisticLeafGet attempts (the first against `leaf` when it
+  // is non-null, each later one freshly routed), then the same call under
+  // the shared leaf lock. Sets *routed when RouteToLeaf ran (it counts its
+  // own lookups). On a miss *value may hold scribbled bytes.
+  bool ReadKey(Leaf* leaf, std::string_view key, uint32_t kv_hash,
+               std::string* value, bool* routed) EXCLUDES(meta_mu_);
 
   // Structural writers: REQUIRES(meta_mu_) — only the *Slow paths (which
   // acquire it) and the destructor reach these.

@@ -267,7 +267,7 @@ int f() {
 case("seqlock-order")
 
 # Explicit order, so only seqlock-order can fire: the access is outside the
-# two home files.
+# rule's one home file, leaf_ops.h.
 BAD_SEQLOCK_FOREIGN = """#include <atomic>
 struct Leaf { std::atomic<unsigned long> version{0}; };
 unsigned long f(Leaf* l) {
@@ -280,25 +280,45 @@ expect_fires("version access outside home files", "src/core/x.cc",
 expect_fires("version access in tests/ too", "tests/x.cc",
              BAD_SEQLOCK_FOREIGN, "seqlock-order")
 
-expect_fires("implicit order inside wormhole.cc", "src/core/wormhole.cc",
-             """#include <atomic>
-struct Leaf { std::atomic<unsigned long> version{0}; };
-unsigned long f(Leaf* l) { return l->version.load(); }
-""", "seqlock-order")
-
-expect_clean("explicit order inside wormhole.cc", "src/core/wormhole.cc",
+# wormhole.cc only hands the counter to the leaf_ops.h helpers; even an
+# explicitly ordered direct load there is a second, unreviewed protocol.
+expect_fires("explicit-order version load in wormhole.cc",
+             "src/core/wormhole.cc",
              """#include <atomic>
 struct Leaf { std::atomic<unsigned long> version{0}; };
 unsigned long f(Leaf* l) {
   return l->version.load(std::memory_order_relaxed);
 }
+""", "seqlock-order")
+
+expect_fires("implicit order inside leaf_ops.h", "src/core/leaf_ops.h",
+             """#include <atomic>
+inline unsigned long f(const std::atomic<unsigned long>& version) {
+  return version.load();
+}
+""", "seqlock-order")
+
+expect_clean("explicit order inside leaf_ops.h", "src/core/leaf_ops.h",
+             """#include <atomic>
+inline unsigned long f(const std::atomic<unsigned long>& version) {
+  return version.load(std::memory_order_acquire);
+}
 """)
 
-expect_fires("operator form banned even in a home file", "src/core/wormhole.cc",
+expect_fires("operator form banned even in the home file",
+             "src/core/leaf_ops.h",
              """#include <atomic>
 struct Leaf { std::atomic<unsigned long> version{0}; };
-void f(Leaf* l) { l->version += 2; }
+inline void f(Leaf* l) { l->version += 2; }
 """, "seqlock-order")
+
+expect_clean("helper handoff by reference is sanctioned",
+             "src/core/wormhole.cc",
+             """#include <atomic>
+struct Leaf { std::atomic<unsigned long> version{0}; };
+bool Validate(const std::atomic<unsigned long>&, unsigned long);
+bool f(Leaf* l, unsigned long v) { return Validate(l->version, v); }
+""")
 
 expect_clean("helper handoff by address is sanctioned", "src/core/x.cc",
              """#include <atomic>

@@ -9,11 +9,12 @@
 // covers the everything-fits-one-window case. The multi-thread tests drive
 // bounded cursors under structural churn so the TSan stage (scripts/check.sh)
 // watches the fast path's lock/validation protocol, not just its quiesced
-// results — including the SPECULATIVE window fills (seqlock-validated,
-// lock-free; wormhole.h): a sweep hammer under split/merge + inline<->slab
-// value churn asserts untorn values and exactly-once residents, and a
-// forced-fallback differential (optimistic_retries=0) pins the locked path
-// to the oracle so the fallback ladder cannot rot behind the fast path.
+// results. The concurrent cursor has one window reader (seqlock-validated;
+// wormhole.h), run lock-free first and under the shared leaf lock as the
+// fallback: a sweep hammer under split/merge + inline<->slab value churn
+// asserts untorn values and exactly-once residents in both modes, and a
+// forced-fallback differential (optimistic_retries=0) pins the locked mode
+// to the oracle so the fallback cannot rot behind the fast path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -277,133 +278,142 @@ TEST(ScanFastpath, BoundedCursorsUnderChurn) {
 // leaf_capacity=4 so leaves split and drain mid-sweep. Residents are never
 // deleted, so the cursor contract owes each sweep every resident exactly
 // once, in order, with an untorn value. After the writers stop, a forward
-// and a reverse sweep must mirror each other exactly.
+// and a reverse sweep must mirror each other exactly. A second pass with
+// optimistic_retries=0 runs every fill and hop — the reverse hop's back-link
+// guard included — under the shared leaf lock against the same writers.
 TEST(ScanFastpath, SpeculativeSweepsUnderSplitMergeValueChurn) {
-  Options opt;
-  opt.leaf_capacity = 4;
-  Wormhole index(opt);
+  // Once with the lock-free reader, once with every read taking the
+  // shared-lock fallback while the writers run.
+  for (const uint32_t retries : {Options().optimistic_retries, 0u}) {
+    SCOPED_TRACE("optimistic_retries=" + std::to_string(retries));
+    Options opt;
+    opt.leaf_capacity = 4;
+    opt.optimistic_retries = retries;
+    Wormhole index(opt);
 
-  constexpr int kResident = 600;
-  auto resident_key = [](int i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "spec-%06d", i);
-    return std::string(buf);
-  };
-  // The two legal values per resident, both derived from the key: one fits
-  // the inline slot encoding, one forces a slab copy.
-  auto short_val = [](const std::string& k) { return k.substr(k.size() - 6); };
-  auto long_val = [](const std::string& k) { return k + k + k; };
-  const std::string kChurnVal = "cv";
+    constexpr int kResident = 600;
+    auto resident_key = [](int i) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "spec-%06d", i);
+      return std::string(buf);
+    };
+    // The two legal values per resident, both derived from the key: one fits
+    // the inline slot encoding, one forces a slab copy.
+    auto short_val = [](const std::string& k) { return k.substr(k.size() - 6); };
+    auto long_val = [](const std::string& k) { return k + k + k; };
+    const std::string kChurnVal = "cv";
 
-  for (int i = 0; i < kResident; i++) {
-    const std::string k = resident_key(i);
-    index.Put(k, short_val(k));
-  }
+    for (int i = 0; i < kResident; i++) {
+      const std::string k = resident_key(i);
+      index.Put(k, short_val(k));
+    }
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> failures{0};
-  std::vector<std::thread> threads;
-  for (int tid = 0; tid < 2; tid++) {
-    threads.emplace_back([&, tid] {
-      Rng rng(97 + static_cast<uint64_t>(tid));
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::string rk =
-            resident_key(static_cast<int>(rng.NextBounded(kResident)));
-        index.Put(rk, (i & 1) != 0 ? long_val(rk) : short_val(rk));
-        // Churn keys extend a resident key, so they land in the same leaves
-        // the sweeps are draining — splits and empty-leaf removals happen
-        // under the cursor, not off in a disjoint key range.
-        const std::string ck =
-            resident_key(static_cast<int>(rng.NextBounded(kResident))) + "+c" +
-            std::to_string(tid);
-        if (i % 3 == 2) {
-          index.Delete(ck);
-        } else {
-          index.Put(ck, kChurnVal);
-        }
-        i++;
-      }
-    });
-  }
-  for (int tid = 0; tid < 2; tid++) {
-    threads.emplace_back([&, tid] {
-      Rng rng(1009 + static_cast<uint64_t>(tid));
-      auto c = index.NewCursor();
-      std::vector<uint8_t> seen(kResident);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const bool reverse = rng.NextBounded(2) == 0;
-        const size_t hint = 1 + rng.NextBounded(24);
-        c->SetScanLimitHint(hint);
-        std::fill(seen.begin(), seen.end(), 0);
-        std::string prev;
-        bool first = true;
-        if (reverse) {
-          c->SeekForPrev(HighSentinel());
-        } else {
-          c->Seek("");
-        }
-        for (; c->Valid(); reverse ? c->Prev() : c->Next()) {
-          const std::string k(c->key());
-          const std::string v(c->value());
-          if (!first &&
-              (reverse ? !(k < prev) : !(prev < k))) {
-            failures.fetch_add(1);  // out of order or duplicate
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> sweeps{0};
+    std::atomic<uint64_t> failures{0};
+    std::vector<std::thread> threads;
+    for (int tid = 0; tid < 2; tid++) {
+      threads.emplace_back([&, tid] {
+        Rng rng(97 + static_cast<uint64_t>(tid));
+        uint64_t i = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::string rk =
+              resident_key(static_cast<int>(rng.NextBounded(kResident)));
+          index.Put(rk, (i & 1) != 0 ? long_val(rk) : short_val(rk));
+          // Churn keys extend a resident key, so they land in the same leaves
+          // the sweeps are draining — splits and empty-leaf removals happen
+          // under the cursor, not off in a disjoint key range.
+          const std::string ck =
+              resident_key(static_cast<int>(rng.NextBounded(kResident))) + "+c" +
+              std::to_string(tid);
+          if (i % 3 == 2) {
+            index.Delete(ck);
+          } else {
+            index.Put(ck, kChurnVal);
           }
-          first = false;
-          prev = k;
-          if (k.size() == 11 && k.compare(0, 5, "spec-") == 0) {
-            int idx = std::atoi(k.c_str() + 5);
-            if (idx < 0 || idx >= kResident || seen[idx]++ != 0) {
-              failures.fetch_add(1);  // resident duplicated within one sweep
+          i++;
+        }
+      });
+    }
+    for (int tid = 0; tid < 2; tid++) {
+      threads.emplace_back([&, tid] {
+        Rng rng(1009 + static_cast<uint64_t>(tid));
+        auto c = index.NewCursor();
+        std::vector<uint8_t> seen(kResident);
+        while (!stop.load(std::memory_order_relaxed)) {
+          const bool reverse = rng.NextBounded(2) == 0;
+          const size_t hint = 1 + rng.NextBounded(24);
+          c->SetScanLimitHint(hint);
+          std::fill(seen.begin(), seen.end(), 0);
+          std::string prev;
+          bool first = true;
+          if (reverse) {
+            c->SeekForPrev(HighSentinel());
+          } else {
+            c->Seek("");
+          }
+          for (; c->Valid(); reverse ? c->Prev() : c->Next()) {
+            const std::string k(c->key());
+            const std::string v(c->value());
+            if (!first &&
+                (reverse ? !(k < prev) : !(prev < k))) {
+              failures.fetch_add(1);  // out of order or duplicate
             }
-            if (v != short_val(k) && v != long_val(k)) {
-              failures.fetch_add(1);  // torn value
+            first = false;
+            prev = k;
+            if (k.size() == 11 && k.compare(0, 5, "spec-") == 0) {
+              int idx = std::atoi(k.c_str() + 5);
+              if (idx < 0 || idx >= kResident || seen[idx]++ != 0) {
+                failures.fetch_add(1);  // resident duplicated within one sweep
+              }
+              if (v != short_val(k) && v != long_val(k)) {
+                failures.fetch_add(1);  // torn value
+              }
+            } else if (v != kChurnVal) {
+              failures.fetch_add(1);  // torn churn value
             }
-          } else if (v != kChurnVal) {
-            failures.fetch_add(1);  // torn churn value
           }
-        }
-        for (int i = 0; i < kResident; i++) {
-          if (!seen[i]) {
-            failures.fetch_add(1);  // resident skipped
+          for (int i = 0; i < kResident; i++) {
+            if (!seen[i]) {
+              failures.fetch_add(1);  // resident skipped
+            }
           }
+          sweeps.fetch_add(1, std::memory_order_relaxed);
         }
-        sweeps.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
+      });
+    }
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-  stop.store(true);
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_GT(sweeps.load(), 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    stop.store(true);
+    for (auto& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_GT(sweeps.load(), 0u);
 
-  // Quiescent mirror check: the forward stream and the reversed reverse
-  // stream must be byte-identical (keys and values).
-  auto c = index.NewCursor();
-  Stream fwd;
-  for (c->Seek(""); c->Valid(); c->Next()) {
-    fwd.emplace_back(std::string(c->key()), std::string(c->value()));
+    // Quiescent mirror check: the forward stream and the reversed reverse
+    // stream must be byte-identical (keys and values).
+    auto c = index.NewCursor();
+    Stream fwd;
+    for (c->Seek(""); c->Valid(); c->Next()) {
+      fwd.emplace_back(std::string(c->key()), std::string(c->value()));
+    }
+    Stream rev;
+    for (c->SeekForPrev(HighSentinel()); c->Valid(); c->Prev()) {
+      rev.emplace_back(std::string(c->key()), std::string(c->value()));
+    }
+    std::reverse(rev.begin(), rev.end());
+    EXPECT_EQ(fwd, rev);
+    EXPECT_GE(fwd.size(), static_cast<size_t>(kResident));
   }
-  Stream rev;
-  for (c->SeekForPrev(HighSentinel()); c->Valid(); c->Prev()) {
-    rev.emplace_back(std::string(c->key()), std::string(c->value()));
-  }
-  std::reverse(rev.begin(), rev.end());
-  EXPECT_EQ(fwd, rev);
-  EXPECT_GE(fwd.size(), static_cast<size_t>(kResident));
 }
 
-// optimistic_retries=0 disables speculation entirely: every fill, hop, and
-// continuation runs the locked fallback ladder. The full differential (all
-// keysets, minimum leaf capacity) run in this mode pins the fallback to the
-// oracle, so a speculative-path bug can never hide behind "the fallback
-// catches it" while the fallback itself has rotted.
+// optimistic_retries=0 disables the lock-free attempts entirely: every fill,
+// hop, and continuation runs the window reader under the shared leaf lock.
+// The full differential (all keysets, minimum leaf capacity) run in this
+// mode pins the fallback to the oracle, so a lock-free-path bug can never
+// hide behind "the fallback catches it" while the fallback itself has
+// rotted.
 TEST(ScanFastpath, ForcedFallbackMatchesOracleAllKeysets) {
   for (const KeysetId id : kAllKeysets) {
     SCOPED_TRACE(std::string("keyset=") + KeysetName(id));

@@ -717,109 +717,118 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
 // leaf mutation shape: slot rewrite, slab append/compact, split, merge. A
 // resident key must always hit, and the value must be exactly one of the two
 // legal values — anything else is a torn read the seqlock validation failed
-// to catch. Absent keys must always miss. Runs under ASan and TSan.
+// to catch. Absent keys must always miss. A second pass with
+// optimistic_retries=0 runs the same reader under the shared leaf lock
+// against the same writers. Runs under ASan and TSan.
 TEST(WormholeConcurrent, OptimisticGetUnderSplitMergeChurn) {
-  Options opt;
-  opt.leaf_capacity = 4;
-  Wormhole index(opt);
+  // Once with the lock-free reader, once with every read taking the
+  // shared-lock fallback while the writers run.
+  for (const uint32_t retries : {Options().optimistic_retries, 0u}) {
+    SCOPED_TRACE("optimistic_retries=" + std::to_string(retries));
+    Options opt;
+    opt.leaf_capacity = 4;
+    opt.optimistic_retries = retries;
+    Wormhole index(opt);
 
-  constexpr int kResident = 64;
-  auto short_val = [](const std::string& key) {
-    return key.substr(4);  // 6 chars: stored inline in the slot.
-  };
-  auto long_val = [](const std::string& key) {
-    return key + key + key;  // 30 chars: stored out-of-line in the slab.
-  };
-  for (int i = 0; i < kResident; i++) {
-    index.Put(ResidentKey(i), short_val(ResidentKey(i)));
-  }
+    constexpr int kResident = 64;
+    auto short_val = [](const std::string& key) {
+      return key.substr(4);  // 6 chars: stored inline in the slot.
+    };
+    auto long_val = [](const std::string& key) {
+      return key + key + key;  // 30 chars: stored out-of-line in the slab.
+    };
+    for (int i = 0; i < kResident; i++) {
+      index.Put(ResidentKey(i), short_val(ResidentKey(i)));
+    }
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> failures{0};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> failures{0};
 
-  std::vector<std::thread> threads;
-  // Two writers: alternate each resident key between its two legal values
-  // (inline <-> slab transitions), and churn a private namespace with inserts
-  // and deletes so leaves constantly split and merge around the residents.
-  for (int tid = 0; tid < 2; tid++) {
-    threads.emplace_back([&, tid] {
-      Rng rng(300 + static_cast<uint64_t>(tid));
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::string res = ResidentKey(static_cast<int>(rng.NextBounded(kResident)));
-        index.Put(res, (i & 1) ? long_val(res) : short_val(res));
-        const uint64_t k = rng.NextBounded(512);
-        index.Put(ChurnKey(tid, k), "churn");
-        if (i % 2 == 0) {
-          index.Delete(ChurnKey(tid, rng.NextBounded(512)));
-        }
-        i++;
-      }
-    });
-  }
-  // Two readers: resident Gets must hit with an untorn value; absent keys
-  // must miss; periodic MultiGet batches exercise the pipelined variant of
-  // the same optimistic protocol.
-  for (int tid = 0; tid < 2; tid++) {
-    threads.emplace_back([&, tid] {
-      Rng rng(400 + static_cast<uint64_t>(tid));
-      std::string value;
-      uint64_t iter = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::string res = ResidentKey(static_cast<int>(rng.NextBounded(kResident)));
-        if (!index.Get(res, &value)) {
-          failures.fetch_add(1);
-        } else if (value != short_val(res) && value != long_val(res)) {
-          failures.fetch_add(1);
-        }
-        if (index.Get("absent-" + std::to_string(rng.NextBounded(1000)), &value)) {
-          failures.fetch_add(1);
-        }
-        if (iter % 16 == 0) {
-          std::vector<std::string> keys;
-          std::vector<std::string_view> views;
-          std::vector<std::string> values;
-          std::vector<uint8_t> hits;
-          for (int j = 0; j < 8; j++) {
-            keys.push_back(ResidentKey(static_cast<int>(rng.NextBounded(kResident))));
+    std::vector<std::thread> threads;
+    // Two writers: alternate each resident key between its two legal values
+    // (inline <-> slab transitions), and churn a private namespace with inserts
+    // and deletes so leaves constantly split and merge around the residents.
+    for (int tid = 0; tid < 2; tid++) {
+      threads.emplace_back([&, tid] {
+        Rng rng(300 + static_cast<uint64_t>(tid));
+        uint64_t i = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::string res = ResidentKey(static_cast<int>(rng.NextBounded(kResident)));
+          index.Put(res, (i & 1) ? long_val(res) : short_val(res));
+          const uint64_t k = rng.NextBounded(512);
+          index.Put(ChurnKey(tid, k), "churn");
+          if (i % 2 == 0) {
+            index.Delete(ChurnKey(tid, rng.NextBounded(512)));
           }
-          for (const auto& k : keys) {
-            views.emplace_back(k);
+          i++;
+        }
+      });
+    }
+    // Two readers: resident Gets must hit with an untorn value; absent keys
+    // must miss; periodic MultiGet batches exercise the pipelined variant of
+    // the same optimistic protocol.
+    for (int tid = 0; tid < 2; tid++) {
+      threads.emplace_back([&, tid] {
+        Rng rng(400 + static_cast<uint64_t>(tid));
+        std::string value;
+        uint64_t iter = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+          const std::string res = ResidentKey(static_cast<int>(rng.NextBounded(kResident)));
+          if (!index.Get(res, &value)) {
+            failures.fetch_add(1);
+          } else if (value != short_val(res) && value != long_val(res)) {
+            failures.fetch_add(1);
           }
-          index.MultiGet(views, &values, &hits);
-          for (size_t j = 0; j < keys.size(); j++) {
-            if (!hits[j]) {
-              failures.fetch_add(1);
-            } else if (values[j] != short_val(keys[j]) &&
-                       values[j] != long_val(keys[j])) {
-              failures.fetch_add(1);
+          if (index.Get("absent-" + std::to_string(rng.NextBounded(1000)), &value)) {
+            failures.fetch_add(1);
+          }
+          if (iter % 16 == 0) {
+            std::vector<std::string> keys;
+            std::vector<std::string_view> views;
+            std::vector<std::string> values;
+            std::vector<uint8_t> hits;
+            for (int j = 0; j < 8; j++) {
+              keys.push_back(ResidentKey(static_cast<int>(rng.NextBounded(kResident))));
+            }
+            for (const auto& k : keys) {
+              views.emplace_back(k);
+            }
+            index.MultiGet(views, &values, &hits);
+            for (size_t j = 0; j < keys.size(); j++) {
+              if (!hits[j]) {
+                failures.fetch_add(1);
+              } else if (values[j] != short_val(keys[j]) &&
+                         values[j] != long_val(keys[j])) {
+                failures.fetch_add(1);
+              }
             }
           }
+          iter++;
         }
-        iter++;
-      }
-    });
-  }
+      });
+    }
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  stop.store(true);
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(failures.load(), 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    stop.store(true);
+    for (auto& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0u);
 
-  // Post-churn: every resident key still readable with a legal value.
-  std::string value;
-  for (int i = 0; i < kResident; i++) {
-    const std::string res = ResidentKey(i);
-    ASSERT_TRUE(index.Get(res, &value)) << res;
-    ASSERT_TRUE(value == short_val(res) || value == long_val(res)) << res;
+    // Post-churn: every resident key still readable with a legal value.
+    std::string value;
+    for (int i = 0; i < kResident; i++) {
+      const std::string res = ResidentKey(i);
+      ASSERT_TRUE(index.Get(res, &value)) << res;
+      ASSERT_TRUE(value == short_val(res) || value == long_val(res)) << res;
+    }
   }
 }
 
-// With the retry budget pinned to zero every read skips the optimistic path
-// and exercises the locked fallback; a differential run against a std::map
-// oracle proves the fallback alone is a complete, correct read path.
+// With the retry budget pinned to zero every read skips the lock-free
+// attempts and runs the reader under the shared leaf lock; a differential
+// run against a std::map oracle proves the fallback alone is a complete,
+// correct read path.
 TEST(WormholeConcurrent, ForcedFallbackMatchesOracle) {
   Options opt;
   opt.leaf_capacity = 8;
