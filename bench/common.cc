@@ -125,33 +125,29 @@ std::unique_ptr<IndexIface> MakeIndex(const std::string& name) {
   if (name == "Wormhole") {
     return std::make_unique<Adapter<Wormhole>>("Wormhole");
   }
-  if (name == "Wormhole-unsafe") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole-unsafe");
-  }
   if (name == "Cuckoo") {
     return std::make_unique<Adapter<CuckooHash>>("Cuckoo", 1024);
   }
   if (name == "Wormhole[base]") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[base]",
-                                                     AblationOptions(0));
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[base]", AblationOptions(0));
   }
   if (name == "Wormhole[+tm]") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[+tm]", AblationOptions(1));
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[+tm]", AblationOptions(1));
   }
   if (name == "Wormhole[+ih]") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[+ih]", AblationOptions(2));
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[+ih]", AblationOptions(2));
   }
   if (name == "Wormhole[+st]") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[+st]", AblationOptions(3));
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[+st]", AblationOptions(3));
   }
   if (name == "Wormhole[+dp]") {
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[+dp]", AblationOptions(4));
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[+dp]", AblationOptions(4));
   }
   if (name == "Wormhole[+split]") {
     // All optimizations plus the future-work split-point heuristic.
     Options opt = AblationOptions(4);
     opt.split_shortest_anchor = true;
-    return std::make_unique<Adapter<WormholeUnsafe>>("Wormhole[+split]", opt);
+    return std::make_unique<Adapter<Wormhole>>("Wormhole[+split]", opt);
   }
   std::fprintf(stderr, "unknown index '%s'\n", name.c_str());
   std::abort();

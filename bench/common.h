@@ -64,9 +64,10 @@ class IndexIface {
 };
 
 // Factory names: "SkipList", "B+tree", "ART", "Masstree", "Wormhole",
-// "Wormhole-unsafe", "Cuckoo", plus "Wormhole[base|+tm|+ih|+st|+dp]" for the
-// Fig. 11 ablation configurations and "Wormhole[+split]" for the split-point
-// heuristic on top of them.
+// "Cuckoo", plus "Wormhole[base|+tm|+ih|+st|+dp]" for the Fig. 11 ablation
+// configurations and "Wormhole[+split]" for the split-point heuristic on top
+// of them. Every Wormhole name builds the same thread-safe class; only its
+// Options differ.
 std::unique_ptr<IndexIface> MakeIndex(const std::string& name);
 
 // Cached keyset access (generation is deterministic; cache avoids regenerating

@@ -17,7 +17,7 @@ namespace {
 double AvgProbes(const std::vector<std::string>& keys) {
   wh::Options opt;
   opt.count_probes = true;
-  wh::WormholeUnsafe index(opt);
+  wh::Wormhole index(opt);
   for (const auto& k : keys) {
     index.Put(k, "v");
   }

@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
     cols.push_back(wh::KeysetName(id));
   }
   wh::PrintHeader("Fig. 16: memory usage (MB) after load", cols);
-  for (const char* name :
-       {"SkipList", "B+tree", "ART", "Masstree", "Wormhole", "Wormhole-unsafe"}) {
+  for (const char* name : {"SkipList", "B+tree", "ART", "Masstree", "Wormhole"}) {
     std::vector<double> row;
     for (const wh::KeysetId id : wh::kAllKeysets) {
       const auto& keys = wh::GetKeyset(id, env.scale);

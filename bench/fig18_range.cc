@@ -7,13 +7,11 @@
 // section / --json rows.
 //
 // Reading the rows: each index pays its cursor protocol's honest price.
-// Wormhole's concurrent cursor runs the two-mode protocol (see README
+// Wormhole's cursor runs the speculative-then-locked protocol (see README
 // "Cursors" and wormhole.h): the bench declares each scan's length via
 // SetScanLimitHint, so every positioning fills a bounded flat window — one
 // validated slab read of exactly the items the scan will emit, still with no
-// lock held across user code. WormholeUnsafe appears via fig11/fig17; here
-// the concurrent class is the honest comparison against the lock-free-
-// reading B+tree baseline. Masstree and ART cursors re-descend from the root
+// lock held across user code. Masstree and ART cursors re-descend from the root
 // per step. Shapes within an index (forward vs reverse vs short) are the
 // comparison this figure adds; the drain emits its limit-th item without a
 // trailing step, as a real request loop would.

@@ -42,7 +42,7 @@ BENCHMARK(BM_Crc32cIncrementalExtend);
 
 void BM_WormholeGet(benchmark::State& state) {
   const auto keys = MakeKeys(100000, static_cast<size_t>(state.range(0)));
-  WormholeUnsafe index;
+  Wormhole index;
   for (const auto& k : keys) {
     index.Put(k, "v");
   }
@@ -58,7 +58,7 @@ void BM_WormholeGetNoDirectPos(benchmark::State& state) {
   const auto keys = MakeKeys(100000, 64);
   Options opt;
   opt.direct_pos = false;
-  WormholeUnsafe index(opt);
+  Wormhole index(opt);
   for (const auto& k : keys) {
     index.Put(k, "v");
   }
@@ -72,7 +72,7 @@ BENCHMARK(BM_WormholeGetNoDirectPos);
 
 void BM_WormholePut(benchmark::State& state) {
   const auto keys = MakeKeys(200000, 24);
-  WormholeUnsafe index;
+  Wormhole index;
   size_t i = 0;
   for (auto _ : state) {
     index.Put(keys[i], "v");
@@ -83,7 +83,7 @@ BENCHMARK(BM_WormholePut);
 
 void BM_WormholeScan100(benchmark::State& state) {
   const auto keys = MakeKeys(100000, 24);
-  WormholeUnsafe index;
+  Wormhole index;
   for (const auto& k : keys) {
     index.Put(k, "v");
   }

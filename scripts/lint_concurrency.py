@@ -59,7 +59,10 @@ Suppression, most-specific first:
   - inline waiver: a `// lint:allow(<rule>): <reason>` comment on the
     flagged line or the line above it. The reason is mandatory.
   - allowlist file (scripts/lint_allowlist.txt): lines of the form
-    `<rule>|<path substring>|<line substring>` with `#` comments.
+    `<rule>|<path substring>|<line substring>` with `#` comments. An entry
+    that suppressed no violation in the whole run is itself reported
+    ([stale-allowlist], at the entry's line): once the code it covered is
+    gone, a leftover entry would silently waive whatever next matches it.
 
 Usage: lint_concurrency.py [--root DIR] [--allowlist FILE] [--list-rules]
 Exit status: 0 clean, 1 violations, 2 usage error.
@@ -144,8 +147,8 @@ ATOMIC_DECL_RE = re.compile(
 # a++ / a-- / a += x / a -= x / a |= x / a &= x / a ^= x / a = x on a known
 # atomic name (assignment through the atomic's operator= is seq_cst). Only
 # direct uses: a receiver reached through `.`/`->` has a type this text-level
-# lint cannot resolve (WormholeUnsafe and Wormhole deliberately share member
-# names with different atomicity), so those are left to the method-call check.
+# lint cannot resolve (two types may share a member name with different
+# atomicity), so those are left to the method-call check.
 def compound_atomic_re(name):
     return re.compile(
         r"(?<![\w.>])" + re.escape(name) +
@@ -245,7 +248,7 @@ class Linter:
         self.allowlist = []
         if allowlist_path and os.path.exists(allowlist_path):
             with open(allowlist_path, encoding="utf-8") as f:
-                for ln in f:
+                for lineno, ln in enumerate(f, start=1):
                     ln = ln.strip()
                     if not ln or ln.startswith("#"):
                         continue
@@ -254,7 +257,9 @@ class Linter:
                         print(f"{allowlist_path}: malformed entry: {ln}",
                               file=sys.stderr)
                         sys.exit(2)
-                    self.allowlist.append(tuple(parts))
+                    self.allowlist.append((lineno, *parts))
+        self.allowlist_path = allowlist_path
+        self.allowlist_used = set()
 
     def allowed(self, rule, relpath, lineno, raw_lines):
         line = raw_lines[lineno - 1]
@@ -263,10 +268,20 @@ class Linter:
             m = WAIVER_RE.search(candidate)
             if m and rule in [r.strip() for r in m.group(1).split(",")]:
                 return True
-        for arule, apath, asub in self.allowlist:
+        for i, (_, arule, apath, asub) in enumerate(self.allowlist):
             if arule == rule and apath in relpath and asub in line:
+                self.allowlist_used.add(i)
                 return True
         return False
+
+    def check_stale_allowlist(self):
+        path = self.allowlist_path and os.path.relpath(self.allowlist_path,
+                                                      self.root)
+        for i, (lineno, *entry) in enumerate(self.allowlist):
+            if i not in self.allowlist_used:
+                self.violations.append(
+                    f"{path}:{lineno}: [stale-allowlist] entry suppressed no "
+                    f"violation; delete it: {'|'.join(entry)}")
 
     def report(self, rule, relpath, lineno, raw_lines, msg):
         if not self.allowed(rule, relpath, lineno, raw_lines):
@@ -317,10 +332,10 @@ class Linter:
                         f".{call}() without an explicit std::memory_order "
                         "(implicit seq_cst)")
         # Operator forms on members declared std::atomic in this file. A name
-        # also declared non-atomic anywhere in the file (WormholeUnsafe and
-        # Wormhole share member names like `next`) is ambiguous to a
-        # text-level lint and skipped — the method-call check above is the
-        # load/store enforcement either way.
+        # also declared non-atomic anywhere in the file (a local or another
+        # type's member of the same name) is ambiguous to a text-level lint
+        # and skipped — the method-call check above is the load/store
+        # enforcement either way.
         atomic_names = set()
         for m in ATOMIC_DECL_RE.finditer(code):
             atomic_names.add(m.group(1))
@@ -450,6 +465,7 @@ class Linter:
                         files.append(os.path.relpath(full, self.root))
         for relpath in sorted(files):
             self.lint_file(relpath)
+        self.check_stale_allowlist()
         return files
 
 

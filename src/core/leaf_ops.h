@@ -1,5 +1,5 @@
-// Internal: slab-backed in-leaf KV storage shared by WormholeUnsafe and the
-// concurrent Wormhole. A leaf's items live in one contiguous LeafStore:
+// Internal: the Wormhole's slab-backed in-leaf KV storage. A leaf's items
+// live in one contiguous LeafStore:
 //
 //   slots    fixed 24-byte records at stable ids (append on insert,
 //            swap-with-last on erase)
@@ -20,8 +20,8 @@
 // bracketed by SeqlockReadBegin / SeqlockReadValidate on the leaf's version
 // counter. It runs with NO lock first; its fallback reruns it under the
 // leaf's shared lock, where no write section can be open, so validation
-// cannot fail. The plain helpers (Key, FindSlot, LowerBoundRank, ...) serve
-// writers under the exclusive lock and the single-threaded index.
+// cannot fail. The plain helpers (Key, FindSlot, ...) serve writers under
+// the exclusive lock.
 //
 // To make the lock-free reader defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
@@ -288,9 +288,9 @@ inline int SpecKeyCompare(const char* p, size_t len, std::string_view b) {
 // SpecVec: the vector replacement whose blocks a lockless reader may touch.
 // ---------------------------------------------------------------------------
 
-// How to dispose of a replaced block. The concurrent Wormhole routes blocks
-// through QSBR (a speculative reader may still be loading from one); the
-// single-threaded index and unit tests leave fn null for an immediate free.
+// How to dispose of a replaced block. The Wormhole routes blocks through
+// QSBR (a speculative reader may still be loading from one); stores no
+// reader can reach (unit tests) leave fn null for an immediate free.
 struct BlockRelease {
   void (*fn)(void* ctx, void* block) = nullptr;
   void* ctx = nullptr;
@@ -302,14 +302,14 @@ struct BlockRelease {
 // inside one live allocation for as long as the reader's QSBR epoch pins it.
 //
 // The writer-side API mirrors the std::vector surface the old code used
-// (size/capacity/data/operator[]/begin/end) so writers and the
-// single-threaded index are untouched. Mutation is exclusive-writer only.
+// (size/capacity/data/operator[]/begin/end) so writers are untouched.
+// Mutation is exclusive-writer only.
 template <typename T>
 class SpecVec {
  public:
   SpecVec() = default;
   // Destruction is single-owner teardown: the embedding leaf is only
-  // destroyed after its own grace period (or single-threaded), so no
+  // destroyed after its own grace period (or never published), so no
   // speculative reader can still hold this block.
   ~SpecVec() { FreeBlock(block_.load(std::memory_order_relaxed)); }
   SpecVec(const SpecVec&) = delete;
@@ -587,11 +587,9 @@ struct LeafStore {
     return s.vlen <= kInlineValue ? std::string_view{s.vinl, s.vlen}
                                   : std::string_view{slab.data() + s.voff, s.vlen};
   }
-  // Key / value at key-ordered position `rank`. Ranks 0..size()-1 walk the
-  // leaf in ascending key order; walking them backwards is descending order —
-  // the in-leaf half of cursor iteration (src/common/cursor.h).
+  // Key at key-ordered position `rank`: ranks 0..size()-1 walk the leaf in
+  // ascending key order (the split-point search).
   std::string_view KeyAt(size_t rank) const { return Key(by_key[rank]); }
-  std::string_view ValueAt(size_t rank) const { return Value(by_key[rank]); }
 };
 
 // A cursor's detached copy of one contiguous key-ordered rank range of a
@@ -631,19 +629,6 @@ struct FlatWindow {
     return {buf.data() + e.voff, e.vlen};
   }
 };
-
-// Rank of the first key > bound (strict) or >= bound, in [0, size()]. The
-// floor rank (last key < / <= bound) is this minus one, with 0 meaning "all
-// keys are above the bound" — cursors then hop to the previous leaf.
-// hot-path: cursor seek rank
-inline size_t LowerBoundRank(const LeafStore& s, std::string_view bound,
-                             bool strict) {
-  auto it = std::lower_bound(s.by_key.begin(), s.by_key.end(), bound,
-                             [&](uint16_t id, std::string_view k) {
-                               return strict ? s.Key(id) <= k : s.Key(id) < k;
-                             });
-  return static_cast<size_t>(it - s.by_key.begin());
-}
 
 // Appends a record without touching the ordered indexes (bulk-build path;
 // callers rebuild indexes afterwards or splice via Insert instead).
@@ -899,7 +884,7 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     n = idx.cap;  // stale size; clamp — validation will reject the attempt
   }
   // Racy lower_bound over the key-ordered index: rank of the first key
-  // (strict ? > : >=) bound, exactly LowerBoundRank's verdict.
+  // (strict ? > : >=) bound.
   size_t rank = 0;
   if (has_bound) {
     size_t cnt = n;
@@ -1166,7 +1151,7 @@ inline void Erase(LeafStore* s, bool direct_pos, uint16_t id) {
 // Recomputes both ordered indexes from `slots` (after bulk moves in a split).
 // Plain writes throughout: only legal on stores no speculative reader can
 // reach — freshly built split halves (SplitTail rebuilds BEFORE publication)
-// or the single-threaded index.
+// or stores built by unit tests.
 inline void RebuildIndexes(LeafStore* s, bool direct_pos) {
   const size_t n = s->slots.size();
   s->by_key.Reserve(n, s->release);

@@ -56,502 +56,7 @@ inline void PrefetchRead(const void* p) {
 
 }  // namespace
 
-// One MetaTrieHT node: a distinct prefix of some anchor. lmost/rmost bound the
-// contiguous run of leaves whose anchors carry this prefix; child_bits marks
-// which next bytes extend it to a longer anchor prefix; has_terminal marks that
-// a leaf's anchor equals the prefix exactly (that leaf is then lmost).
-struct WormholeUnsafe::Node {
-  std::string prefix;
-  Leaf* lmost;
-  Leaf* rmost;
-  bool has_terminal = false;
-  uint64_t child_bits[4] = {0, 0, 0, 0};
-
-  void SetChild(uint8_t b) { child_bits[b >> 6] |= 1ull << (b & 63); }
-  void ClearChild(uint8_t b) { child_bits[b >> 6] &= ~(1ull << (b & 63)); }
-
-  // Largest child byte <= t, or -1.
-  int LargestChildLE(uint8_t t) const {
-    int w = t >> 6;
-    const int bit = t & 63;
-    uint64_t bits = child_bits[w] & (bit == 63 ? ~0ull : (2ull << bit) - 1);
-    while (true) {
-      if (bits != 0) {
-        return (w << 6) + 63 - __builtin_clzll(bits);
-      }
-      if (--w < 0) {
-        return -1;
-      }
-      bits = child_bits[w];
-    }
-  }
-};
-
-WormholeUnsafe::WormholeUnsafe(const Options& opt) : opt_(opt) {
-  // Slot ids in the leaf indexes are uint16_t; keep a safety margin.
-  if (opt_.leaf_capacity < 4) {
-    opt_.leaf_capacity = 4;
-  } else if (opt_.leaf_capacity > 4096) {
-    opt_.leaf_capacity = 4096;
-  }
-  buckets_.resize(256);
-  bucket_mask_ = buckets_.size() - 1;
-  head_ = new Leaf;  // anchor "" — covers everything until the first split
-  root_ = new Node;
-  root_->lmost = root_->rmost = head_;
-  root_->has_terminal = true;
-  InsertEntry(HashPrefix({}), root_);
-  node_count_ = 1;
-}
-
-WormholeUnsafe::~WormholeUnsafe() {
-  for (Leaf* l = head_; l != nullptr;) {
-    Leaf* next = l->next;
-    delete l;  // lint:allow(qsbr-free): single-threaded class, no readers
-    l = next;
-  }
-  for (Bucket& b : buckets_) {
-    // lint:allow(qsbr-free): single-threaded class, no readers
-    metabucket::ForEach(&b, [](uint16_t, Node* nd) { delete nd; });
-    metabucket::FreeOverflow(&b);
-  }
-}
-
-// --- MetaTrieHT hash table -------------------------------------------------
-
-WormholeUnsafe::Node* WormholeUnsafe::LookupNode(uint32_t hash,
-                                                 std::string_view prefix) const {
-  return metabucket::Find(
-      &buckets_[hash & bucket_mask_], TagOf(hash), opt_.tag_matching,
-      opt_.sort_by_tag, [&](const Node* nd) { return nd->prefix == prefix; });
-}
-
-WormholeUnsafe::Node* WormholeUnsafe::LookupChild(uint32_t hash,
-                                                  std::string_view prefix,
-                                                  char extra) const {
-  const size_t len = prefix.size() + 1;
-  return metabucket::Find(&buckets_[hash & bucket_mask_], TagOf(hash),
-                          opt_.tag_matching, opt_.sort_by_tag,
-                          [&](const Node* nd) {
-                            const std::string& p = nd->prefix;
-                            return p.size() == len && p.back() == extra &&
-                                   std::memcmp(p.data(), prefix.data(),
-                                               prefix.size()) == 0;
-                          });
-}
-
-void WormholeUnsafe::InsertEntry(uint32_t hash, Node* node) {
-  metabucket::Insert(&buckets_[hash & bucket_mask_], TagOf(hash), node,
-                     opt_.sort_by_tag);
-}
-
-void WormholeUnsafe::RemoveEntry(uint32_t hash, Node* node) {
-  const bool removed = metabucket::Remove(&buckets_[hash & bucket_mask_], node);
-  (void)removed;
-  assert(removed && "MetaTrieHT entry missing on removal");
-}
-
-void WormholeUnsafe::MaybeGrowTable() {
-  if (node_count_ <= buckets_.size() * 2) {
-    return;
-  }
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.clear();
-  buckets_.resize(old.size() * 2);
-  bucket_mask_ = buckets_.size() - 1;
-  for (Bucket& b : old) {
-    // Entries carry only the 16-bit tag; the full hash is recomputed from the
-    // node's immutable prefix (growth is rare and already O(nodes)).
-    metabucket::ForEach(
-        &b, [&](uint16_t, Node* nd) { InsertEntry(HashPrefix(nd->prefix), nd); });
-    metabucket::FreeOverflow(&b);
-  }
-}
-
-// --- lookup ----------------------------------------------------------------
-
-WormholeUnsafe::Node* WormholeUnsafe::Lpm(std::string_view key,
-                                          uint32_t* state_out) {
-  // All prefixes of every anchor are present, so "prefix length m is a node"
-  // is monotone in m and binary search applies: O(log L) probes.
-  size_t lo = 0;
-  size_t hi = std::min(key.size(), max_anchor_len_);
-  uint32_t lo_state = kCrc32cInit;
-  Node* best = root_;
-  uint64_t probes = 0;
-  while (lo < hi) {
-    const size_t m = (lo + hi + 1) / 2;
-    const uint32_t st = opt_.inc_hashing
-                            ? Crc32cExtend(lo_state, key.data() + lo, m - lo)
-                            : Crc32cExtend(kCrc32cInit, key.data(), m);
-    probes++;
-    Node* n = LookupNode(st, key.substr(0, m));
-    if (n != nullptr) {
-      best = n;
-      lo = m;
-      lo_state = st;
-    } else {
-      hi = m - 1;
-    }
-  }
-  if (opt_.count_probes) {
-    probes_.fetch_add(probes, std::memory_order_relaxed);
-  }
-  *state_out = lo_state;
-  return best;
-}
-
-WormholeUnsafe::Leaf* WormholeUnsafe::FindLeafHashed(std::string_view key,
-                                                     uint32_t* kv_hash) {
-  if (opt_.count_probes) {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint32_t state;
-  Node* n = Lpm(key, &state);
-  const size_t m = n->prefix.size();
-  // The LPM left behind the CRC32C state of key[0, m): extending it over the
-  // tail yields the full-key hash DirectPos needs, with no second pass over
-  // the prefix bytes.
-  *kv_hash = ExtendKvHash(opt_.direct_pos, state, key, m);
-  if (m == key.size()) {
-    // The key itself is an anchor prefix. If it is exactly an anchor, that
-    // leaf covers it; otherwise every anchor below n is longer, hence greater.
-    return n->has_terminal ? n->lmost : n->lmost->prev;
-  }
-  const uint8_t t = static_cast<uint8_t>(key[m]);
-  // A child equal to t cannot exist (it would extend the longest match), so c
-  // is the largest child strictly below the key's next byte.
-  const int c = n->LargestChildLE(t);
-  if (c < 0) {
-    return n->has_terminal ? n->lmost : n->lmost->prev;
-  }
-  const char cb = static_cast<char>(c);
-  const uint32_t child_hash = Crc32cExtend(state, &cb, 1);
-  if (opt_.count_probes) {
-    probes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  Node* child = LookupChild(child_hash, n->prefix, cb);
-  assert(child != nullptr);
-  // Everything under the child sorts below the key; its rightmost leaf is the
-  // one with the largest anchor <= key.
-  return child->rmost;
-}
-
-WormholeUnsafe::Leaf* WormholeUnsafe::FindLeaf(std::string_view key) {
-  uint32_t kv_hash;
-  return FindLeafHashed(key, &kv_hash);
-}
-
-// --- public single-threaded API --------------------------------------------
-
-bool WormholeUnsafe::Get(std::string_view key, std::string* value) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot < 0) {
-    return false;
-  }
-  if (value != nullptr) {
-    value->assign(leaf->store.Value(static_cast<uint16_t>(slot)));
-  }
-  return true;
-}
-
-void WormholeUnsafe::Put(std::string_view key, std::string_view value) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot >= 0) {
-    leafops::UpdateValue(&leaf->store, static_cast<uint16_t>(slot), value);
-    return;
-  }
-  leafops::Insert(&leaf->store, opt_.direct_pos, key, value, h);
-  item_count_.fetch_add(1, std::memory_order_relaxed);
-  if (leaf->store.size() > opt_.leaf_capacity) {
-    SplitLeaf(leaf);
-  }
-}
-
-bool WormholeUnsafe::Delete(std::string_view key) {
-  uint32_t h;
-  Leaf* leaf = FindLeafHashed(key, &h);
-  const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
-  if (slot < 0) {
-    return false;
-  }
-  leafops::Erase(&leaf->store, opt_.direct_pos, static_cast<uint16_t>(slot));
-  item_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (leaf->store.size() == 0 && leaf != head_) {
-    RemoveLeaf(leaf);
-  }
-  return true;
-}
-
-// Single-threaded emit-in-place cursor: a (leaf, rank) position straight
-// into the live structure — rank iteration off the leaf slab, no copies, no
-// locks. Any mutation of the index invalidates it (contract in cursor.h).
-// Whenever the cursor enters a leaf it prefetches the NEXT hop target —
-// header, rank index, slot array, and first slab lines, exactly what the
-// first KeyAt after a hop touches — so a drain streams leaves with the
-// memory system one leaf ahead. SetScanLimitHint turns short scans into a
-// pure single-leaf fast path: when the hinted length fits the current leaf,
-// the neighbor prefetch is skipped and the scan touches nothing outside the
-// leaf it seeked into. The concurrent cursor's speculative fills issue a
-// comparable deep neighbor prefetch through SpecVec::AcquireView (see
-// PrefetchNeighborData there).
-class WormholeUnsafe::CursorImpl final : public Cursor {
- public:
-  explicit CursorImpl(WormholeUnsafe* wh) : wh_(wh) {}
-
-  void Seek(std::string_view target) override {
-    leaf_ = wh_->FindLeaf(target);
-    rank_ = leafops::LowerBoundRank(leaf_->store, target, /*strict=*/false);
-    SkipForward();
-    // Short scans that fit the current leaf never touch the neighbor: this
-    // cursor is already emit-in-place (key()/value() are views into the
-    // slab), so with the hop excluded the whole scan is copy-free and
-    // single-leaf. Only warm the next leaf when the drain will reach it.
-    if (valid_ && !HintFitsLeafForward()) {
-      PrefetchLeaf(leaf_->next);  // a forward drain is the common follow-up
-    }
-  }
-
-  void SeekForPrev(std::string_view target) override {
-    leaf_ = wh_->FindLeaf(target);
-    // First rank > target; StepBack lands on the floor (last key <= target).
-    rank_ = leafops::LowerBoundRank(leaf_->store, target, /*strict=*/true);
-    StepBack();
-    if (valid_ && !HintFitsLeafBackward()) {
-      PrefetchLeaf(leaf_->prev);
-    }
-  }
-
-  void SetScanLimitHint(size_t count) override { hint_ = count; }
-
-  bool Valid() const override { return valid_; }
-
-  void Next() override {
-    if (!valid_) {
-      return;
-    }
-    rank_++;
-    SkipForward();
-  }
-
-  void Prev() override {
-    if (!valid_) {
-      return;
-    }
-    StepBack();
-  }
-
-  std::string_view key() const override { return leaf_->store.KeyAt(rank_); }
-  std::string_view value() const override { return leaf_->store.ValueAt(rank_); }
-
- private:
-  // True when a hinted scan of hint_ items is guaranteed to drain inside the
-  // current leaf, so the neighbor prefetch would warm lines the scan never
-  // reads. hint_ == 0 means "unknown length": assume the drain crosses.
-  bool HintFitsLeafForward() const {
-    return hint_ != 0 && rank_ + hint_ <= leaf_->store.size();
-  }
-  bool HintFitsLeafBackward() const { return hint_ != 0 && hint_ <= rank_ + 1; }
-
-  static void PrefetchLeaf(const Leaf* l) {
-    if (l == nullptr) {
-      return;
-    }
-    PrefetchRead(l);
-    PrefetchRead(l->store.by_key.data());
-    PrefetchRead(l->store.slots.data());
-    PrefetchRead(l->store.slab.data());
-  }
-
-  // rank_ may equal the leaf's size: advance to the next nonempty leaf (only
-  // the head leaf can be empty, but the loop is general). On a hop, warm the
-  // leaf after the new one while this one drains.
-  void SkipForward() {
-    bool hopped = false;
-    while (leaf_ != nullptr && rank_ >= leaf_->store.size()) {
-      leaf_ = leaf_->next;
-      rank_ = 0;
-      hopped = true;
-    }
-    valid_ = leaf_ != nullptr;
-    if (valid_ && hopped) {
-      PrefetchLeaf(leaf_->next);
-    }
-  }
-
-  // Positions at the item just before rank_, hopping to earlier leaves when
-  // rank_ is 0; invalidates at the front of the index.
-  void StepBack() {
-    bool hopped = false;
-    while (rank_ == 0) {
-      leaf_ = leaf_->prev;
-      if (leaf_ == nullptr) {
-        valid_ = false;
-        return;
-      }
-      rank_ = leaf_->store.size();
-      hopped = true;
-    }
-    rank_--;
-    valid_ = true;
-    if (hopped) {
-      PrefetchLeaf(leaf_->prev);
-    }
-  }
-
-  WormholeUnsafe* wh_;
-  Leaf* leaf_ = nullptr;
-  size_t rank_ = 0;
-  size_t hint_ = 0;  // expected remaining items, 0 = unknown
-  bool valid_ = false;
-};
-
-std::unique_ptr<Cursor> WormholeUnsafe::NewCursor() {
-  return std::make_unique<CursorImpl>(this);
-}
-
-size_t WormholeUnsafe::Scan(std::string_view start, size_t count, const ScanFn& fn) {
-  CursorImpl c(this);
-  return ScanViaCursor(&c, start, count, fn);
-}
-
-// --- structural changes ----------------------------------------------------
-
-void WormholeUnsafe::SplitLeaf(Leaf* left) {
-  const size_t n = left->store.size();
-  assert(n >= 2);
-  (void)n;
-  const size_t si =
-      leafops::ChooseSplitIndex(left->store, opt_.split_shortest_anchor);
-  const std::string_view right_min = left->store.KeyAt(si);
-  // Copy the anchor bytes out before SplitTail rewrites the slab under them.
-  std::string anchor(right_min.substr(
-      0, leafops::SeparatorLen(left->store.KeyAt(si - 1), right_min)));
-
-  Leaf* right = new Leaf;
-  right->anchor = std::move(anchor);
-  leafops::SplitTail(&left->store, &right->store, si, opt_.direct_pos);
-
-  right->next = left->next;
-  right->prev = left;
-  if (right->next != nullptr) {
-    right->next->prev = right;
-  }
-  left->next = right;
-
-  InsertAnchor(right->anchor, right);
-}
-
-void WormholeUnsafe::InsertAnchor(const std::string& anchor, Leaf* leaf) {
-  uint32_t state = kCrc32cInit;
-  Node* parent = nullptr;
-  for (size_t d = 0; d <= anchor.size(); d++) {
-    if (d > 0) {
-      state = Crc32cExtend(state, anchor.data() + d - 1, 1);
-    }
-    const std::string_view prefix(anchor.data(), d);
-    Node* n = LookupNode(state, prefix);
-    if (n == nullptr) {
-      n = new Node;
-      n->prefix.assign(prefix);
-      n->lmost = n->rmost = leaf;
-      InsertEntry(state, n);
-      node_count_++;
-      parent->SetChild(static_cast<uint8_t>(anchor[d - 1]));  // d >= 1: root pre-exists
-    } else {
-      if (anchor < n->lmost->anchor) {
-        n->lmost = leaf;
-      }
-      if (anchor > n->rmost->anchor) {
-        n->rmost = leaf;
-      }
-    }
-    if (d == anchor.size()) {
-      n->has_terminal = true;
-    }
-    parent = n;
-  }
-  if (anchor.size() > max_anchor_len_) {
-    max_anchor_len_ = anchor.size();
-  }
-  MaybeGrowTable();
-}
-
-void WormholeUnsafe::RemoveLeaf(Leaf* leaf) {
-  assert(leaf != head_ && leaf->store.size() == 0);
-  const std::string& a = leaf->anchor;
-  // Prefix hash states, so each node lookup is O(1) after this O(L) pass.
-  std::vector<uint32_t> states(a.size() + 1);
-  states[0] = kCrc32cInit;
-  for (size_t d = 1; d <= a.size(); d++) {
-    states[d] = Crc32cExtend(states[d - 1], a.data() + d - 1, 1);
-  }
-  // Deepest-first: delete nodes whose subtree held only this leaf, repoint
-  // survivors' leaf bounds past it.
-  for (size_t d = a.size();; d--) {
-    Node* n = LookupNode(states[d], std::string_view(a.data(), d));
-    assert(n != nullptr);
-    if (n->lmost == leaf && n->rmost == leaf) {
-      // d >= 1 here: the root spans head_, which is never removed.
-      RemoveEntry(states[d], n);
-      node_count_--;
-      Node* parent = LookupNode(states[d - 1], std::string_view(a.data(), d - 1));
-      parent->ClearChild(static_cast<uint8_t>(a[d - 1]));
-      delete n;  // lint:allow(qsbr-free): WormholeUnsafe is single-threaded
-    } else {
-      if (d == a.size()) {
-        n->has_terminal = false;
-      }
-      // Anchors sharing a prefix are contiguous in the leaf list, so the
-      // neighbor is the new boundary.
-      if (n->lmost == leaf) {
-        n->lmost = leaf->next;
-      }
-      if (n->rmost == leaf) {
-        n->rmost = leaf->prev;
-      }
-    }
-    if (d == 0) {
-      break;
-    }
-  }
-  leaf->prev->next = leaf->next;
-  if (leaf->next != nullptr) {
-    leaf->next->prev = leaf->prev;
-  }
-  delete leaf;  // lint:allow(qsbr-free): WormholeUnsafe is single-threaded
-}
-
-// --- accounting ------------------------------------------------------------
-
-uint64_t WormholeUnsafe::MemoryBytes() const {
-  uint64_t total = sizeof(*this);
-  for (const Leaf* l = head_; l != nullptr; l = l->next) {
-    total += sizeof(Leaf) + StrHeapBytes(l->anchor);
-    total += leafops::MemoryBytes(l->store, opt_.direct_pos);
-  }
-  total += buckets_.capacity() * sizeof(Bucket);
-  for (const Bucket& b : buckets_) {
-    total += (metabucket::LineCount(&b) - 1) * sizeof(Bucket);  // overflow lines
-    metabucket::ForEach(&b, [&](uint16_t, const Node* nd) {
-      total += sizeof(Node) + StrHeapBytes(nd->prefix);
-    });
-  }
-  return total;
-}
-
-WormholeStats WormholeUnsafe::stats() const {
-  WormholeStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.probes = probes_.load(std::memory_order_relaxed);
-  return s;
-}
-
-// --- concurrent Wormhole ----------------------------------------------------
+// --- structure and invariants ----------------------------------------------
 //
 // Invariants (see wormhole.h for the model):
 //   - Anchors, node prefixes and list membership order are immutable; only
@@ -563,7 +68,11 @@ WormholeStats WormholeUnsafe::stats() const {
 //     freed inline: a lock-free reader routed through stale state must be
 //     able to dereference it, fail validation, and retry safely.
 
-// Trie node with lock-free-readable fields. Pre-publication initialization
+// One MetaTrieHT node: a distinct prefix of some anchor. lmost/rmost bound the
+// contiguous run of leaves whose anchors carry this prefix; child_bits marks
+// which next bytes extend it to a longer anchor prefix; has_terminal marks that
+// a leaf's anchor equals the prefix exactly (that leaf is then lmost).
+// Every field is lock-free-readable. Pre-publication initialization
 // uses relaxed stores (the bucket pointer swap that publishes the node is a
 // release store); all later in-place updates are release stores.
 struct Wormhole::Node {
@@ -901,7 +410,7 @@ Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
   return leaf;
 }
 
-// --- public concurrent API -------------------------------------------------
+// --- public API ------------------------------------------------------------
 
 bool Wormhole::ReadKey(Leaf* leaf, std::string_view key, uint32_t kv_hash,
                        std::string* value, bool* routed) {

@@ -34,13 +34,13 @@
 //   direct_pos    per-leaf hash-ordered position index, so an in-leaf point
 //                 search compares 4-byte hashes instead of full keys
 //
-// Concurrency (class Wormhole; the paper's section 4 design):
-//
-// An earlier revision wrapped the single-threaded core in one global
-// std::shared_mutex. That was a scalability bug, not a simplification: every
-// reader bounces the mutex's reader-count cache line between cores, so
-// aggregate Get throughput flatlines as threads grow — the exact collapse the
-// paper's Fig. 9 exists to rule out. The wrapper is gone. Instead:
+// Concurrency (the paper's section 4 design). There is one index class, and
+// it is always thread-safe: the Fig. 11 ablation options above change only
+// how a lookup hashes and searches, never the synchronization. A global
+// reader-writer lock would be a scalability bug — every reader would bounce
+// the lock's reader-count cache line between cores, so aggregate Get
+// throughput would flatline as threads grow, the collapse the paper's Fig. 9
+// exists to rule out. Instead:
 //
 //   - Point reads are LOCK-FREE on the fast path (seqlock-style optimistic
 //     validation; the paper's QSBR-reader claim made real). A lookup walks
@@ -79,13 +79,9 @@
 //     after every thread passes a quiescent state, so lock-free readers can
 //     keep dereferencing what they already found.
 //
-// Ordered cursors (src/common/cursor.h): both classes expose NewCursor() for
-// bidirectional Seek/Next/Prev iteration; Scan() is a thin wrapper over it.
-// WormholeUnsafe's cursor is emit-in-place: a bare (leaf, rank) position that
-// reads keys and values straight off the live leaf slab — zero copies — and
-// prefetches the next hop target (header + index + slab lines) while the
-// current leaf drains (skipped when a SetScanLimitHint proves the scan fits
-// the current leaf). The concurrent cursor's protocol, mirroring Get:
+// Ordered cursors (src/common/cursor.h): NewCursor() gives bidirectional
+// Seek/Next/Prev iteration; Scan() is a thin wrapper over it. The cursor's
+// protocol, mirroring Get:
 //   - The cursor holds a QSBR *epoch pin* (Qsbr::Pin) for its lifetime, so
 //     the leaf pointer it remembers between calls stays dereferenceable even
 //     after the leaf is unlinked — exactly the guarantee lock-free lookups
@@ -130,10 +126,6 @@
 // not stall reclamation, and an index must only be destroyed after all other
 // threads have quiesced or exited. A live cursor pins its thread's epoch —
 // destroy cursors promptly (and always before the index / QsbrThreadScope).
-//
-// WormholeUnsafe is the single-threaded core (no locks, no atomic publication)
-// used by the Fig. 11 ablation configurations and as the differential-test
-// reference.
 #ifndef WH_SRC_CORE_WORMHOLE_H_
 #define WH_SRC_CORE_WORMHOLE_H_
 
@@ -168,11 +160,11 @@ struct Options {
   bool count_probes = false;
   // Clamped to [4, 4096]: leaf indexes use 16-bit slot ids.
   size_t leaf_capacity = 128;
-  // Class Wormhole only: lock-free seqlock-validated read attempts (Get,
-  // MultiGet, cursor fills) before an operation reruns its reader under the
-  // shared leaf lock. 0 disables the lock-free attempts entirely (every
-  // read locks) — the forced-fallback tests pin it there to exercise the
-  // fallback deterministically.
+  // Lock-free seqlock-validated read attempts (Get, MultiGet, cursor fills)
+  // before an operation reruns its reader under the shared leaf lock. 0
+  // disables the lock-free attempts entirely (every read locks) — the
+  // forced-fallback tests pin it there to exercise the fallback
+  // deterministically.
   uint32_t optimistic_retries = 3;
 };
 
@@ -185,80 +177,7 @@ struct WormholeStats {
   }
 };
 
-// Single-threaded Wormhole core. Not safe for any concurrent use.
-class WormholeUnsafe {
- public:
-  // Leaf items live in a slab-backed LeafStore (see leaf_ops.h): fixed slots
-  // at stable ids, `by_key` in key order, `by_hash` in (hash, key) order
-  // (DirectPos only), all key/value bytes in one contiguous slab.
-  struct Leaf {
-    std::string anchor;
-    Leaf* prev = nullptr;
-    Leaf* next = nullptr;
-    leafops::LeafStore store;
-  };
-
-  WormholeUnsafe() : WormholeUnsafe(Options()) {}
-  explicit WormholeUnsafe(const Options& opt);
-  ~WormholeUnsafe();
-  WormholeUnsafe(const WormholeUnsafe&) = delete;
-  WormholeUnsafe& operator=(const WormholeUnsafe&) = delete;
-
-  bool Get(std::string_view key, std::string* value);
-  void Put(std::string_view key, std::string_view value);
-  bool Delete(std::string_view key);
-  // Visits items with key >= start in key order, at most `count`, stopping
-  // early when fn returns false. Returns the number of fn invocations.
-  // (A thin wrapper over NewCursor — see src/common/cursor.h.)
-  size_t Scan(std::string_view start, size_t count, const ScanFn& fn);
-  // Bidirectional cursor over the leaf list (contract in cursor.h). Any
-  // mutation of the index invalidates outstanding cursors.
-  std::unique_ptr<Cursor> NewCursor();
-
-  uint64_t MemoryBytes() const;
-  size_t size() const { return item_count_.load(std::memory_order_relaxed); }
-  WormholeStats stats() const;
-  const Options& options() const { return opt_; }
-
-  // The unique leaf with anchor <= key < next-anchor. Only reads the trie.
-  Leaf* FindLeaf(std::string_view key);
-
- private:
-  struct Node;
-  class CursorImpl;
-  using Bucket = metabucket::BucketLine<Node>;
-
-  Node* LookupNode(uint32_t hash, std::string_view prefix) const;
-  // Node for prefix+extra (the child-descent step, avoiding concatenation).
-  Node* LookupChild(uint32_t hash, std::string_view prefix, char extra) const;
-  void InsertEntry(uint32_t hash, Node* node);
-  void RemoveEntry(uint32_t hash, Node* node);
-  void MaybeGrowTable();
-
-  // Longest prefix of `key` present in the trie; *state_out receives the raw
-  // CRC32C state of that prefix.
-  Node* Lpm(std::string_view key, uint32_t* state_out);
-  // FindLeaf plus the full-key hash (the LPM prefix state extended over the
-  // key's tail) when DirectPos is on; *kv_hash is 0 otherwise.
-  Leaf* FindLeafHashed(std::string_view key, uint32_t* kv_hash);
-
-  void SplitLeaf(Leaf* leaf);
-  void InsertAnchor(const std::string& anchor, Leaf* leaf);
-  void RemoveLeaf(Leaf* leaf);
-
-  Options opt_;
-  std::vector<Bucket> buckets_;  // line heads embedded in the table array
-  size_t bucket_mask_ = 0;
-  size_t node_count_ = 0;
-  Leaf* head_ = nullptr;
-  Node* root_ = nullptr;
-  size_t max_anchor_len_ = 0;
-  std::atomic<size_t> item_count_{0};
-  mutable std::atomic<uint64_t> probes_{0};
-  mutable std::atomic<uint64_t> lookups_{0};
-};
-
-// Thread-safe Wormhole: lock-free lookups through the MetaTrieHT, per-leaf
+// The Wormhole index: lock-free lookups through the MetaTrieHT, per-leaf
 // reader-writer locks for item access, QSBR reclamation for structural
 // changes. See the header comment for the full concurrency model.
 class Wormhole {

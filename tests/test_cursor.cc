@@ -26,7 +26,7 @@ namespace {
 // too: its cursor is the ordered sorted-snapshot fallback.
 const char* kAllIndexNames[] = {
     "SkipList",       "B+tree",        "ART",           "Masstree",
-    "Wormhole",       "Wormhole-unsafe", "Cuckoo",
+    "Wormhole",       "Cuckoo",
     "Wormhole[base]", "Wormhole[+tm]", "Wormhole[+ih]", "Wormhole[+st]",
     "Wormhole[+dp]",  "Wormhole[+split]",
 };
@@ -208,7 +208,7 @@ TEST(CursorDifferential, AllIndexesAllKeysets) {
 // preserves the documented callback semantics (inclusive start, early stop
 // counted, count cap) for a couple of representative indexes.
 TEST(CursorDifferential, ScanWrapperMatchesCursor) {
-  for (const char* name : {"Wormhole", "Wormhole-unsafe", "B+tree"}) {
+  for (const char* name : {"Wormhole", "B+tree"}) {
     SCOPED_TRACE(std::string("index=") + name);
     auto index = MakeIndex(name);
     for (int i = 0; i < 300; i++) {

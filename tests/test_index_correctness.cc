@@ -22,7 +22,7 @@ namespace {
 // Every name MakeIndex accepts (mirrors bench/common.h).
 const char* kAllIndexNames[] = {
     "SkipList",       "B+tree",        "ART",           "Masstree",
-    "Wormhole",       "Wormhole-unsafe", "Cuckoo",
+    "Wormhole",       "Cuckoo",
     "Wormhole[base]", "Wormhole[+tm]", "Wormhole[+ih]", "Wormhole[+st]",
     "Wormhole[+dp]",  "Wormhole[+split]",
 };
@@ -260,7 +260,7 @@ TEST(IndexCorrectness, WormholeBinaryKeysAndSplitHeuristic) {
   };
   for (const auto& [label, opt] : configs) {
     SCOPED_TRACE(label);
-    WormholeUnsafe index(opt);
+    Wormhole index(opt);
     Oracle oracle;
     Rng rng(0xb1a2u);
     uint64_t vc = 0;
@@ -302,33 +302,23 @@ TEST(IndexCorrectness, ProbeCountersAreGatedByOption) {
   Options counting;
   counting.count_probes = true;
 
-  WormholeUnsafe unsafe_off;
-  WormholeUnsafe unsafe_on(counting);
-  Wormhole safe_off;
-  Wormhole safe_on(counting);
+  Wormhole off;
+  Wormhole on(counting);
   std::string value;
   for (const auto& k : pool) {
-    unsafe_off.Put(k, "v");
-    unsafe_on.Put(k, "v");
-    safe_off.Put(k, "v");
-    safe_on.Put(k, "v");
+    off.Put(k, "v");
+    on.Put(k, "v");
   }
   for (const auto& k : pool) {
-    unsafe_off.Get(k, &value);
-    unsafe_on.Get(k, &value);
-    safe_off.Get(k, &value);
-    safe_on.Get(k, &value);
+    off.Get(k, &value);
+    on.Get(k, &value);
   }
 
-  EXPECT_EQ(unsafe_off.stats().lookups, 0u);
-  EXPECT_EQ(unsafe_off.stats().probes, 0u);
-  EXPECT_EQ(safe_off.stats().lookups, 0u);
-  EXPECT_EQ(safe_off.stats().probes, 0u);
+  EXPECT_EQ(off.stats().lookups, 0u);
+  EXPECT_EQ(off.stats().probes, 0u);
 
-  EXPECT_GE(unsafe_on.stats().lookups, pool.size());
-  EXPECT_GT(unsafe_on.stats().probes, 0u);
-  EXPECT_GE(safe_on.stats().lookups, pool.size());
-  EXPECT_GT(safe_on.stats().probes, 0u);
+  EXPECT_GE(on.stats().lookups, pool.size());
+  EXPECT_GT(on.stats().probes, 0u);
 }
 
 TEST(IndexCorrectness, MemoryBytesIsPlausible) {

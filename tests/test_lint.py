@@ -439,6 +439,19 @@ void f(int fd) {
 expect_clean("allowlist", "src/durability/x.cc", BAD_RAW_IO,
              ["raw-io|src/durability/x.cc|open(p"])
 
+# --- stale-allowlist --------------------------------------------------------
+
+case("stale-allowlist")
+
+# An entry whose code is gone must not linger: it would waive whatever next
+# matches it.
+expect_fires("entry that suppresses nothing", "src/core/x.cc",
+             "struct Leaf { int x; };\n", "stale-allowlist",
+             ["qsbr-free|src/core/x.cc|delete l"])
+
+expect_clean("entry that suppresses a violation", "src/core/x.cc", BAD_DELETE,
+             ["qsbr-free|src/core/x.cc|delete l"])
+
 # --- multiple rules at once -------------------------------------------------
 
 case("combined")

@@ -1,6 +1,6 @@
-// Differential coverage for the bounded emit-in-place scan fast path
-// (SetScanLimitHint, src/common/cursor.h): for both Wormhole classes, over
-// all 8 paper keysets, a cursor running with any scan-limit hint must return
+// Differential coverage for the bounded scan fast path
+// (SetScanLimitHint, src/common/cursor.h): over all 8 paper keysets, a
+// Wormhole cursor running with any scan-limit hint must return
 // byte-identical key AND value streams to the unhinted snapshot-window path
 // and to a std::map oracle — forward, reverse, and mixing directions across
 // truncated window edges. leaf_capacity=4 forces every scan of more than a
@@ -84,11 +84,10 @@ Stream OracleScan(const Oracle& oracle, const std::string& start, size_t count,
   return out;
 }
 
-template <typename Index>
 void RunFastpathDifferential(const Options& opt,
                              const std::vector<std::string>& pool,
                              uint64_t seed) {
-  Index index(opt);
+  Wormhole index(opt);
   Oracle oracle;
   Rng rng(seed);
 
@@ -178,15 +177,7 @@ TEST(ScanFastpath, BoundedMatchesSnapshotAllKeysets) {
       SCOPED_TRACE("leaf_capacity=" + std::to_string(capacity));
       Options opt;
       opt.leaf_capacity = capacity;
-      const uint64_t seed = 0xfa57 ^ static_cast<uint64_t>(id);
-      {
-        SCOPED_TRACE("class=Wormhole");
-        RunFastpathDifferential<Wormhole>(opt, pool, seed);
-      }
-      {
-        SCOPED_TRACE("class=WormholeUnsafe");
-        RunFastpathDifferential<WormholeUnsafe>(opt, pool, seed);
-      }
+      RunFastpathDifferential(opt, pool, 0xfa57 ^ static_cast<uint64_t>(id));
     }
   }
 }
@@ -421,8 +412,7 @@ TEST(ScanFastpath, ForcedFallbackMatchesOracleAllKeysets) {
     Options opt;
     opt.leaf_capacity = 4;
     opt.optimistic_retries = 0;
-    RunFastpathDifferential<Wormhole>(opt, pool,
-                                      0xfb4c ^ static_cast<uint64_t>(id));
+    RunFastpathDifferential(opt, pool, 0xfb4c ^ static_cast<uint64_t>(id));
   }
 }
 

@@ -152,70 +152,84 @@ TEST(WormholeBatch, MultiGetMatchesGet) {
 // same values, same miss handling — across batch sizes that land on, under,
 // and over the pipeline's group size, in shuffled and sorted key order, with
 // present, absent-from-pool, and structurally-adversarial (prefix/extension)
-// probe keys mixed in.
+// probe keys mixed in. Both at the default options and at the Fig. 11 base
+// configuration (every lookup optimization off, split-point heuristic on):
+// the pipeline has its own inc_hashing and direct_pos branches.
 TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
-  for (const KeysetId id : kAllKeysets) {
-    SCOPED_TRACE(std::string("keyset=") + KeysetName(id));
-    const auto pool = GenerateKeyset({id, 600, 17});
-    Options opt;
-    opt.leaf_capacity = 16;  // deep trie, many leaves
-    Wormhole index(opt);
-    for (size_t i = 0; i < pool.size(); i++) {
-      if (i % 3 != 0) {  // every third pool key stays absent
-        index.Put(pool[i], "v" + std::to_string(i));
-      }
-    }
-
-    // Probe set: the whole pool plus prefix/extension mutants (they exercise
-    // the anchor-boundary routing paths the pipeline must get right).
-    std::vector<std::string> probes;
-    for (const auto& k : pool) {
-      probes.push_back(k);
-    }
-    for (size_t i = 0; i < pool.size(); i += 5) {
-      probes.push_back(pool[i].substr(0, pool[i].size() / 2 + 1));
-      probes.push_back(pool[i] + "~");
-    }
-    Rng rng(0x5eed ^ static_cast<uint64_t>(id));
-    for (size_t i = probes.size(); i > 1; i--) {  // shuffle
-      std::swap(probes[i - 1], probes[rng.NextBounded(i)]);
-    }
-
-    std::vector<std::string> values;
-    std::vector<uint8_t> hits;
-    const auto check_batch = [&](const std::vector<std::string_view>& batch) {
-      const size_t found = index.MultiGet(batch, &values, &hits);
-      ASSERT_EQ(values.size(), batch.size());
-      size_t expect_found = 0;
-      for (size_t i = 0; i < batch.size(); i++) {
-        std::string want;
-        const bool want_hit = index.Get(batch[i], &want);
-        expect_found += want_hit ? 1 : 0;
-        ASSERT_EQ(hits[i] != 0, want_hit) << "key " << batch[i];
-        if (want_hit) {
-          ASSERT_EQ(values[i], want) << "key " << batch[i];
-        } else {
-          ASSERT_TRUE(values[i].empty()) << "key " << batch[i];
+  Options base;
+  base.tag_matching = false;
+  base.inc_hashing = false;
+  base.sort_by_tag = false;
+  base.direct_pos = false;
+  base.split_shortest_anchor = true;
+  const std::pair<const char*, Options> configs[] = {
+      {"default", Options()},
+      {"fig11-base+split", base},
+  };
+  for (const auto& config : configs) {
+    for (const KeysetId id : kAllKeysets) {
+      SCOPED_TRACE(std::string(config.first) + " keyset=" + KeysetName(id));
+      const auto pool = GenerateKeyset({id, 600, 17});
+      Options opt = config.second;
+      opt.leaf_capacity = 16;  // deep trie, many leaves
+      Wormhole index(opt);
+      for (size_t i = 0; i < pool.size(); i++) {
+        if (i % 3 != 0) {  // every third pool key stays absent
+          index.Put(pool[i], "v" + std::to_string(i));
         }
       }
-      ASSERT_EQ(found, expect_found);
-    };
 
-    // Batch sizes straddling the pipeline group size, over shuffled probes.
-    size_t pos = 0;
-    size_t bsize = 1;
-    while (pos < probes.size()) {
-      std::vector<std::string_view> batch;
-      for (size_t i = 0; i < bsize && pos < probes.size(); i++, pos++) {
-        batch.push_back(probes[pos]);
+      // Probe set: the whole pool plus prefix/extension mutants (they exercise
+      // the anchor-boundary routing paths the pipeline must get right).
+      std::vector<std::string> probes;
+      for (const auto& k : pool) {
+        probes.push_back(k);
       }
-      check_batch(batch);
-      bsize = bsize % 21 + 1;  // 1..21: partial, exact, and multi-group
+      for (size_t i = 0; i < pool.size(); i += 5) {
+        probes.push_back(pool[i].substr(0, pool[i].size() / 2 + 1));
+        probes.push_back(pool[i] + "~");
+      }
+      Rng rng(0x5eed ^ static_cast<uint64_t>(id));
+      for (size_t i = probes.size(); i > 1; i--) {  // shuffle
+        std::swap(probes[i - 1], probes[rng.NextBounded(i)]);
+      }
+
+      std::vector<std::string> values;
+      std::vector<uint8_t> hits;
+      const auto check_batch = [&](const std::vector<std::string_view>& batch) {
+        const size_t found = index.MultiGet(batch, &values, &hits);
+        ASSERT_EQ(values.size(), batch.size());
+        size_t expect_found = 0;
+        for (size_t i = 0; i < batch.size(); i++) {
+          std::string want;
+          const bool want_hit = index.Get(batch[i], &want);
+          expect_found += want_hit ? 1 : 0;
+          ASSERT_EQ(hits[i] != 0, want_hit) << "key " << batch[i];
+          if (want_hit) {
+            ASSERT_EQ(values[i], want) << "key " << batch[i];
+          } else {
+            ASSERT_TRUE(values[i].empty()) << "key " << batch[i];
+          }
+        }
+        ASSERT_EQ(found, expect_found);
+      };
+
+      // Batch sizes straddling the pipeline group size, over shuffled probes.
+      size_t pos = 0;
+      size_t bsize = 1;
+      while (pos < probes.size()) {
+        std::vector<std::string_view> batch;
+        for (size_t i = 0; i < bsize && pos < probes.size(); i++, pos++) {
+          batch.push_back(probes[pos]);
+        }
+        check_batch(batch);
+        bsize = bsize % 21 + 1;  // 1..21: partial, exact, and multi-group
+      }
+      // One sorted full-pool batch: maximizes the held-lock reuse path.
+      std::vector<std::string_view> sorted_batch(pool.begin(), pool.end());
+      std::sort(sorted_batch.begin(), sorted_batch.end());
+      check_batch(sorted_batch);
     }
-    // One sorted full-pool batch: maximizes the held-lock reuse path.
-    std::vector<std::string_view> sorted_batch(pool.begin(), pool.end());
-    std::sort(sorted_batch.begin(), sorted_batch.end());
-    check_batch(sorted_batch);
   }
 }
 

@@ -678,12 +678,8 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
   Options opt;
   opt.leaf_capacity = 32;
   Wormhole parallel(opt);
-  WormholeUnsafe serial(opt);
 
   constexpr int kKeys = 20000;
-  for (int i = 0; i < kKeys; i++) {
-    serial.Put(ResidentKey(i), "x");
-  }
   std::vector<std::thread> threads;
   for (int tid = 0; tid < 4; tid++) {
     threads.emplace_back([&, tid] {
@@ -695,20 +691,19 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
   for (auto& t : threads) {
     t.join();
   }
-  ASSERT_EQ(parallel.size(), serial.size());
-  // Identical contents in identical order.
-  std::vector<std::string> a;
-  std::vector<std::string> b;
+  ASSERT_EQ(parallel.size(), static_cast<size_t>(kKeys));
+  // Every key exactly once, in key order: ResidentKey's zero-padded ids sort
+  // like the integers that produced them.
+  std::vector<std::string> expected;
+  for (int i = 0; i < kKeys; i++) {
+    expected.push_back(ResidentKey(i));
+  }
+  std::vector<std::string> got;
   parallel.Scan("", kKeys + 1, [&](std::string_view k, std::string_view) {
-    a.emplace_back(k);
+    got.emplace_back(k);
     return true;
   });
-  serial.Scan("", kKeys + 1, [&](std::string_view k, std::string_view) {
-    b.emplace_back(k);
-    return true;
-  });
-  ASSERT_EQ(a.size(), static_cast<size_t>(kKeys));
-  ASSERT_EQ(a, b);
+  ASSERT_EQ(got, expected);
 }
 
 // Hammer for the lock-free optimistic read path. Tiny leaves keep splits and
@@ -719,15 +714,28 @@ TEST(WormholeConcurrent, ParallelLoadMatchesSerialLoad) {
 // legal values — anything else is a torn read the seqlock validation failed
 // to catch. Absent keys must always miss. A second pass with
 // optimistic_retries=0 runs the same reader under the shared leaf lock
-// against the same writers. Runs under ASan and TSan.
+// against the same writers. A third runs the lock-free reader on the Fig. 11
+// base configuration (every lookup optimization off) with the split-point
+// heuristic on, so the ablation code paths race writers too. Runs under ASan
+// and TSan.
 TEST(WormholeConcurrent, OptimisticGetUnderSplitMergeChurn) {
-  // Once with the lock-free reader, once with every read taking the
-  // shared-lock fallback while the writers run.
-  for (const uint32_t retries : {Options().optimistic_retries, 0u}) {
-    SCOPED_TRACE("optimistic_retries=" + std::to_string(retries));
-    Options opt;
+  Options locked;
+  locked.optimistic_retries = 0;
+  Options base;
+  base.tag_matching = false;
+  base.inc_hashing = false;
+  base.sort_by_tag = false;
+  base.direct_pos = false;
+  base.split_shortest_anchor = true;
+  const std::pair<const char*, Options> configs[] = {
+      {"default", Options()},
+      {"optimistic_retries=0", locked},
+      {"fig11-base+split", base},
+  };
+  for (const auto& config : configs) {
+    SCOPED_TRACE(config.first);
+    Options opt = config.second;
     opt.leaf_capacity = 4;
-    opt.optimistic_retries = retries;
     Wormhole index(opt);
 
     constexpr int kResident = 64;
