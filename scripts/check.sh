@@ -82,7 +82,15 @@ fi
 
 run_release() {
   stage_begin "release: configure + build (${WH_CXX:-default compiler})"
-  cmake -B "$RELEASE_DIR" -S . ${WH_CXX:+-DCMAKE_CXX_COMPILER="$WH_CXX"} >/dev/null
+  # --ci builds the default-compiler (gcc) tree with warnings as errors: it
+  # compiles warning-free, and stays so. Set explicitly on every configure
+  # so a local run does not inherit a CI run's cached setting.
+  local werror=OFF
+  if [[ "$CI" == 1 && -z "$WH_CXX" ]]; then
+    werror=ON
+  fi
+  cmake -B "$RELEASE_DIR" -S . ${WH_CXX:+-DCMAKE_CXX_COMPILER="$WH_CXX"} \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR="$werror" >/dev/null
   if [[ "$FAST" == 1 ]]; then
     cmake --build "$RELEASE_DIR" -j "$JOBS" --target "${TEST_TARGETS[@]}"
   else

@@ -39,7 +39,7 @@
 //   writers with per-leaf snapshot semantics (see wormhole.h; each leaf's
 //   window is one seqlock-validated copy — lock-free first, so a read-only
 //   scan performs zero atomic RMW, and after optimistic_retries lost races
-//   the same copy rerun under the per-leaf shared lock, where validation
+//   the same copy rerun under the per-leaf lock, where validation
 //   cannot fail. Either way a cursor never holds a leaf lock across user
 //   code, and never blocks writers between calls).
 //

@@ -132,8 +132,8 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// Annotated reader-writer mutex over std::shared_mutex (per-leaf locks, the
-// masstree-wide lock). Exclusive side = writer, shared side = reader.
+// Annotated reader-writer mutex over std::shared_mutex (the Masstree
+// baseline's tree-wide lock). Exclusive side = writer, shared side = reader.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
@@ -149,7 +149,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
   }
   void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
-  void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {}
 
  private:
   std::shared_mutex mu_;

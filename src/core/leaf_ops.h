@@ -15,13 +15,14 @@
 // in `dead` and reclaimed by Compact once they dominate the slab.
 //
 // Concurrency model (the seqlock read path). Mutators require the caller to
-// hold the leaf's exclusive lock. The concurrent index has one reader per
-// operation — SpecFind (point reads) or SpecFillWindow (cursor window fills),
-// bracketed by SeqlockReadBegin / SeqlockReadValidate on the leaf's version
-// counter. It runs with NO lock first; its fallback reruns it under the
-// leaf's shared lock, where no write section can be open, so validation
-// cannot fail. The plain helpers (Key, FindSlot, ...) serve writers under
-// the exclusive lock.
+// hold the leaf's lock. The concurrent index has one reader per operation —
+// SpecFind (point reads) or SpecFillWindow (cursor window fills), bracketed
+// by SeqlockReadBegin / SeqlockReadValidate on the leaf's version counter.
+// It runs with NO lock first; its fallback reruns it under the leaf lock,
+// where no write section can be open, so validation cannot fail. Readers
+// and writers share one in-leaf ordered search, SpecLowerBound: writers
+// (FindSlot, Insert's splice positions) run it under the lock, where every
+// load it makes is exact.
 //
 // To make the lock-free reader defined behavior, each container is a
 // SpecVec: a heap block whose capacity is embedded in its own header, so a
@@ -64,9 +65,6 @@ inline constexpr uint32_t kInlineValue = 8;
 // ordering comes from the seqlock version protocol, not from the data.
 // ---------------------------------------------------------------------------
 
-inline char RelaxedLoad8(const char* p) {
-  return __atomic_load_n(p, __ATOMIC_RELAXED);
-}
 inline void RelaxedStore8(char* p, char v) {
   __atomic_store_n(p, v, __ATOMIC_RELAXED);
 }
@@ -103,16 +101,11 @@ inline void RelaxedCopyIn(char* dst, const char* src, size_t n) {
   }
 }
 
-// Word-wise speculative reads need a little-endian target (the shift
-// composition below assembles byte 0 into the LSB). Everything else falls
-// back to per-byte loops.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define WH_SPEC_WORDWISE 1
-#else
-#define WH_SPEC_WORDWISE 0
-#endif
+// The word-wise speculative reads below assemble byte 0 into the LSB and
+// order words by byte-reversed comparison: a little-endian target only.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "leaf_ops.h speculative word reads assume little-endian");
 
-#if WH_SPEC_WORDWISE
 // 8 bytes starting at arbitrary `p`, assembled from the one or two ALIGNED
 // words that contain them. `p` must point into a SpecVec block payload:
 // payloads are 16-aligned and padded to an 8-byte multiple (AllocBlock), so
@@ -149,11 +142,9 @@ inline uint64_t SpecLoadTail(const char* p, size_t n) {
   }
   return v & ((uint64_t{1} << (n * 8)) - 1);
 }
-#endif
 
 // hot-path: speculative value copy-out
 inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
-#if WH_SPEC_WORDWISE
   // Leaf window fills copy hundreds of short strings per scan; a per-byte
   // loop here halves scan throughput. Streams ALIGNED words, carrying the
   // previous word in a register so a misaligned source costs one load per 8
@@ -192,20 +183,6 @@ inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
       w >>= 8;
     }
   }
-#else
-  size_t i = 0;
-  while (i < n && (reinterpret_cast<uintptr_t>(src + i) & 7) != 0) {
-    dst[i] = RelaxedLoad8(src + i);
-    i++;
-  }
-  for (; i + 8 <= n; i += 8) {
-    const uint64_t w = RelaxedLoad64(reinterpret_cast<const uint64_t*>(src + i));
-    std::memcpy(dst + i, &w, 8);
-  }
-  for (; i < n; i++) {
-    dst[i] = RelaxedLoad8(src + i);
-  }
-#endif
 }
 
 // Lexicographic compare of a speculative key [p, p+len) against a private
@@ -215,7 +192,6 @@ inline void RelaxedCopyOut(char* dst, const char* src, size_t n) {
 // hot-path: speculative key compare
 inline int SpecKeyCompare(const char* p, size_t len, std::string_view b) {
   const size_t common = len < b.size() ? len : b.size();
-#if WH_SPEC_WORDWISE
   // Streams aligned words like RelaxedCopyOut: hierarchical keysets share
   // long prefixes, so the equal-word loop is the whole cost of a probe and
   // must run at one load per 8 bytes.
@@ -271,17 +247,6 @@ inline int SpecKeyCompare(const char* p, size_t len, std::string_view b) {
     }
   }
   return 0;
-#else
-  for (size_t i = 0; i < common; i++) {
-    const int d = static_cast<int>(static_cast<unsigned char>(
-                      RelaxedLoad8(p + i))) -
-                  static_cast<int>(static_cast<unsigned char>(b[i]));
-    if (d != 0) {
-      return d;
-    }
-  }
-  return 0;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -301,9 +266,8 @@ struct BlockRelease {
 // AcquireView() and clamp to View::cap — every byte inside [p, p + cap*T) is
 // inside one live allocation for as long as the reader's QSBR epoch pins it.
 //
-// The writer-side API mirrors the std::vector surface the old code used
-// (size/capacity/data/operator[]/begin/end) so writers are untouched.
-// Mutation is exclusive-writer only.
+// The writer-side API is a std::vector subset (size/capacity/data/
+// operator[]/begin/end). Mutation is exclusive-writer only.
 template <typename T>
 class SpecVec {
  public:
@@ -713,36 +677,6 @@ inline void MaybeCompact(LeafStore* s) {
   }
 }
 
-// Slot id of `key`, or -1. `hash` is the precomputed full-key CRC32C raw
-// state — lookup paths extend the LPM's incremental prefix state instead of
-// rehashing the key from byte 0; ignored unless direct_pos.
-// hot-path: every point op's in-leaf search
-inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
-                    uint32_t hash) {
-  if (direct_pos) {
-    // Binary search by (hash, key): almost always pure 4-byte comparisons.
-    auto it = std::lower_bound(s.by_hash.begin(), s.by_hash.end(), key,
-                               [&](uint16_t id, std::string_view k) {
-                                 const LeafSlot& sl = s.slots[id];
-                                 if (sl.hash != hash) {
-                                   return sl.hash < hash;
-                                 }
-                                 return s.Key(id) < k;
-                               });
-    if (it != s.by_hash.end() && s.slots[*it].hash == hash && s.Key(*it) == key) {
-      return *it;
-    }
-    return -1;
-  }
-  auto it = std::lower_bound(
-      s.by_key.begin(), s.by_key.end(), key,
-      [&](uint16_t id, std::string_view k) { return s.Key(id) < k; });
-  if (it != s.by_key.end() && s.Key(*it) == key) {
-    return *it;
-  }
-  return -1;
-}
-
 // ---------------------------------------------------------------------------
 // Speculative (lockless) point lookup. Everything below runs with NO lock and
 // must assume every load can be stale or torn; correctness comes from (a)
@@ -757,93 +691,129 @@ enum class SpecRead {
   kInconsistent,  // internally impossible snapshot — retry without validating
 };
 
-// Racy byte comparison of `key` against slab[koff, koff+klen). Bounds are the
-// caller's to enforce.
-// hot-path: speculative key compare
-inline bool SpecKeyEquals(const char* slab, uint32_t koff, uint32_t klen,
-                          std::string_view key) {
-  if (klen != key.size()) {
-    return false;
+// A search's view of one ordered id index: each block acquired once, and
+// the item count clamped to the index block's capacity (a stale size only
+// shortens the search; the caller's validation rejects the attempt).
+struct SpecIndex {
+  SpecVec<uint16_t>::View idx;
+  SpecVec<LeafSlot>::View slots;
+  SpecVec<char>::View slab;
+  size_t n;
+};
+inline SpecIndex SpecOpen(const LeafStore& s, bool by_hash) {
+  SpecIndex v{(by_hash ? s.by_hash : s.by_key).AcquireView(),
+              s.slots.AcquireView(), s.slab.AcquireView(), s.size()};
+  if (v.n > v.idx.cap) {
+    v.n = v.idx.cap;
   }
-  return SpecKeyCompare(slab + koff, klen, key) == 0;
+  return v;
 }
 
-// Lockless FindSlot + value copy-out. Mirrors FindSlot's search strategy
-// (by_hash under direct_pos, by_key otherwise) but loads every cell through
-// the relaxed accessors and re-checks every bound. The binary search runs on
-// possibly-garbage keys — it still terminates (the interval shrinks every
-// step) and at worst lands on a wrong slot, which the final key compare or
-// the caller's validation rejects. On kAbsent/kInconsistent *value may hold
-// scribbled bytes; callers only consume it on a validated kFound.
-// hot-path: optimistic point read
-inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
-                         std::string_view key, uint32_t hash,
-                         std::string* value) {
-  const auto idx = direct_pos ? s.by_hash.AcquireView() : s.by_key.AcquireView();
-  const auto slots = s.slots.AcquireView();
-  const auto slab = s.slab.AcquireView();
-  size_t n = s.size();
-  if (n > idx.cap) {
-    n = idx.cap;  // stale size; clamp — validation will reject the attempt
-  }
-  // Hand-rolled lower_bound over the id index.
+// SpecLowerBound's verdict on an internally impossible snapshot.
+inline constexpr size_t kSpecBadRank = ~size_t{0};
+
+// The one in-leaf ordered search, shared by readers and writers: the rank in
+// v.idx of the first slot ordering at or after `key` (strict: after it) —
+// by (hash, key) when `by_hash`, where almost every probe is a 4-byte
+// compare, and by key otherwise. Every cell is loaded through the relaxed
+// accessors and every id and offset is clamped to its block, so on a racing
+// snapshot the search still terminates (the interval shrinks every step) and
+// at worst lands on a wrong rank, which the caller's validation rejects.
+// Under the leaf lock every load is exact, and so is the rank. Force-inlined
+// so each caller's copy folds its constant by_hash/strict arguments away.
+// hot-path: every in-leaf search
+[[gnu::always_inline]] inline size_t SpecLowerBound(
+    const SpecIndex& v, bool by_hash, uint32_t hash, std::string_view key,
+    bool strict) {
   size_t lo = 0;
-  size_t cnt = n;
+  size_t cnt = v.n;
   while (cnt > 0) {
     const size_t half = cnt / 2;
     const size_t mid = lo + half;
-    const uint16_t id = RelaxedLoad16(idx.p + mid);
-    if (id >= slots.cap) {
-      return SpecRead::kInconsistent;
+    const uint16_t id = RelaxedLoad16(v.idx.p + mid);
+    if (id >= v.slots.cap) {
+      return kSpecBadRank;
     }
-    SpecPrefetchProbes(idx.p, lo, cnt, slots.p, slots.cap);
-    const LeafSlotKey sl = SlotLoadKey(slots.p + id);
-    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-      return SpecRead::kInconsistent;
+    SpecPrefetchProbes(v.idx.p, lo, cnt, v.slots.p, v.slots.cap);
+    const LeafSlotKey sl = SlotLoadKey(v.slots.p + id);
+    if (static_cast<uint64_t>(sl.koff) + sl.klen > v.slab.cap) {
+      return kSpecBadRank;
     }
-    bool less;  // does slot `id` order strictly before `key`?
-    if (direct_pos && sl.hash != hash) {
-      less = sl.hash < hash;
+    bool before;  // does slot `id` order before `key` (strict: not after)?
+    if (by_hash && sl.hash != hash) {
+      before = sl.hash < hash;
     } else {
-      const int cmp = SpecKeyCompare(slab.p + sl.koff, sl.klen, key);
-      less = cmp != 0 ? cmp < 0 : sl.klen < key.size();
+      const int cmp = SpecKeyCompare(v.slab.p + sl.koff, sl.klen, key);
+      before = cmp != 0 ? cmp < 0
+                        : (strict ? sl.klen <= key.size()
+                                  : sl.klen < key.size());
     }
-    if (less) {
+    if (before) {
       lo = mid + 1;
       cnt -= half + 1;
     } else {
       cnt = half;
     }
   }
-  if (lo >= n) {
-    return SpecRead::kAbsent;
-  }
-  const uint16_t id = RelaxedLoad16(idx.p + lo);
-  if (id >= slots.cap) {
+  return lo;
+}
+
+// Point lookup + value copy-out: SpecLowerBound over by_hash under
+// direct_pos (by_key otherwise), then an exact compare of the slot it lands
+// on. On kFound *slot_id (if non-null) receives the slot id. On
+// kAbsent/kInconsistent *value may hold scribbled bytes; lock-free callers
+// only consume it on a validated kFound.
+// hot-path: optimistic point read
+inline SpecRead SpecFind(const LeafStore& s, bool direct_pos,
+                         std::string_view key, uint32_t hash,
+                         std::string* value, int* slot_id = nullptr) {
+  const SpecIndex v = SpecOpen(s, direct_pos);
+  const size_t rank = SpecLowerBound(v, direct_pos, hash, key, false);
+  if (rank == kSpecBadRank) {
     return SpecRead::kInconsistent;
   }
-  const LeafSlot sl = SlotLoad(slots.p + id);
-  if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
+  if (rank >= v.n) {
+    return SpecRead::kAbsent;
+  }
+  const uint16_t id = RelaxedLoad16(v.idx.p + rank);
+  if (id >= v.slots.cap) {
     return SpecRead::kInconsistent;
   }
-  if (direct_pos && sl.hash != hash) {
+  const LeafSlot sl = SlotLoad(v.slots.p + id);
+  if (static_cast<uint64_t>(sl.koff) + sl.klen > v.slab.cap) {
+    return SpecRead::kInconsistent;
+  }
+  if ((direct_pos && sl.hash != hash) || sl.klen != key.size() ||
+      SpecKeyCompare(v.slab.p + sl.koff, sl.klen, key) != 0) {
     return SpecRead::kAbsent;
   }
-  if (!SpecKeyEquals(slab.p, sl.koff, sl.klen, key)) {
-    return SpecRead::kAbsent;
+  if (slot_id != nullptr) {
+    *slot_id = id;
   }
   if (value != nullptr) {
     if (sl.vlen <= kInlineValue) {
       value->assign(sl.vinl, sl.vlen);  // sl is a local snapshot already
     } else {
-      if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap) {
+      if (static_cast<uint64_t>(sl.voff) + sl.vlen > v.slab.cap) {
         return SpecRead::kInconsistent;
       }
       value->resize(sl.vlen);
-      RelaxedCopyOut(value->data(), slab.p + sl.voff, sl.vlen);
+      RelaxedCopyOut(value->data(), v.slab.p + sl.voff, sl.vlen);
     }
   }
   return SpecRead::kFound;
+}
+
+// Slot id of `key`, or -1: SpecFind run by a writer under the leaf lock,
+// where the search is exact. `hash` is the precomputed full-key CRC32C raw
+// state — lookup paths extend the LPM's incremental prefix state instead of
+// rehashing the key from byte 0; ignored unless direct_pos.
+inline int FindSlot(const LeafStore& s, bool direct_pos, std::string_view key,
+                    uint32_t hash) {
+  int id = -1;
+  const SpecRead r = SpecFind(s, direct_pos, key, hash, nullptr, &id);
+  assert(r != SpecRead::kInconsistent);
+  return r == SpecRead::kFound ? id : -1;
 }
 
 // Result of one speculative whole-window fill. `ok == false` means an
@@ -866,54 +836,24 @@ struct SpecWindow {
 // rank search (hop fills: rank 0 forward, the leaf end backward).
 // budget == 0 means unbounded.
 //
-// The rank search runs on possibly-garbage keys like SpecFind's: it still
-// terminates and at worst lands on a wrong rank, which the caller's version
-// check rejects. Each slot is loaded exactly once and both its offsets and
-// its copy derive from that single snapshot, so a torn slot can never write
-// outside the bounds its own lengths were checked against.
+// The rank search is SpecLowerBound over by_key. Each slot is loaded
+// exactly once and both its offsets and its copy derive from that single
+// snapshot, so a torn slot can never write outside the bounds its own
+// lengths were checked against.
 // hot-path: speculative cursor window fill
 inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
                                  bool has_bound, std::string_view bound,
                                  bool strict, size_t budget, FlatWindow* win) {
   SpecWindow out;
-  const auto idx = s.by_key.AcquireView();
-  const auto slots = s.slots.AcquireView();
-  const auto slab = s.slab.AcquireView();
-  size_t n = s.size();
-  if (n > idx.cap) {
-    n = idx.cap;  // stale size; clamp — validation will reject the attempt
-  }
-  // Racy lower_bound over the key-ordered index: rank of the first key
-  // (strict ? > : >=) bound.
-  size_t rank = 0;
+  const SpecIndex v = SpecOpen(s, /*by_hash=*/false);
+  const size_t n = v.n;
+  // Rank of the first key (strict ? > : >=) bound, or the leaf edge.
+  size_t rank = forward ? 0 : n;
   if (has_bound) {
-    size_t cnt = n;
-    while (cnt > 0) {
-      const size_t half = cnt / 2;
-      const size_t mid = rank + half;
-      const uint16_t id = RelaxedLoad16(idx.p + mid);
-      if (id >= slots.cap) {
-        return out;
-      }
-      SpecPrefetchProbes(idx.p, rank, cnt, slots.p, slots.cap);
-      const LeafSlotKey sl = SlotLoadKey(slots.p + id);
-      if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap) {
-        return out;
-      }
-      const int cmp = SpecKeyCompare(slab.p + sl.koff, sl.klen, bound);
-      const bool skip =  // slot orders (strict ? <= : <) bound
-          cmp != 0 ? cmp < 0
-                   : (strict ? sl.klen <= bound.size()
-                             : sl.klen < bound.size());
-      if (skip) {
-        rank = mid + 1;
-        cnt -= half + 1;
-      } else {
-        cnt = half;
-      }
+    rank = SpecLowerBound(v, /*by_hash=*/false, 0, bound, strict);
+    if (rank == kSpecBadRank) {
+      return out;
     }
-  } else if (!forward) {
-    rank = n;
   }
   size_t lo, hi;
   if (forward) {
@@ -963,7 +903,7 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
     win->spec_ksrc.resize(count_max);
     win->spec_vsrc.resize(count_max);
   }
-  const size_t max_bytes = slab.cap + count_max * kInlineValue;
+  const size_t max_bytes = v.slab.cap + count_max * kInlineValue;
   if (win->buf.size() < max_bytes) {
     win->buf.resize(max_bytes);
   }
@@ -974,21 +914,21 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
   size_t bytes = 0;
   for (size_t r = lo; r < hi; r++) {
     if (r + kAhead < hi) {
-      const uint16_t ahead = RelaxedLoad16(idx.p + r + kAhead);
-      if (ahead < slots.cap) {
-        SpecPrefetchLine(slots.p + ahead);
+      const uint16_t ahead = RelaxedLoad16(v.idx.p + r + kAhead);
+      if (ahead < v.slots.cap) {
+        SpecPrefetchLine(v.slots.p + ahead);
       }
     }
-    const uint16_t id = RelaxedLoad16(idx.p + r);
-    if (id >= slots.cap) {
+    const uint16_t id = RelaxedLoad16(v.idx.p + r);
+    if (id >= v.slots.cap) {
       return out;
     }
-    const LeafSlot sl = SlotLoad(slots.p + id);
-    if (static_cast<uint64_t>(sl.koff) + sl.klen > slab.cap ||
+    const LeafSlot sl = SlotLoad(v.slots.p + id);
+    if (static_cast<uint64_t>(sl.koff) + sl.klen > v.slab.cap ||
         bytes + sl.klen + kInlineValue > max_bytes) {
       return out;
     }
-    SpecPrefetchLine(slab.p + sl.koff);  // key bytes for pass two
+    SpecPrefetchLine(v.slab.p + sl.koff);  // key bytes for pass two
     const size_t i = r - lo;
     ks[i] = sl.koff;
     FlatWindow::Entry e;
@@ -1003,11 +943,11 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
       std::memcpy(dst + bytes, sl.vinl, kInlineValue);
       vs[i] = 0;
     } else {
-      if (static_cast<uint64_t>(sl.voff) + sl.vlen > slab.cap ||
+      if (static_cast<uint64_t>(sl.voff) + sl.vlen > v.slab.cap ||
           bytes + sl.vlen > max_bytes) {
         return out;
       }
-      SpecPrefetchLine(slab.p + sl.voff);
+      SpecPrefetchLine(v.slab.p + sl.voff);
       // Never collides with the inline marker: out-of-line means vlen > 8.
       vs[i] = static_cast<uint64_t>(sl.voff) |
               (static_cast<uint64_t>(sl.vlen) << 32);
@@ -1019,9 +959,9 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
   const size_t count = win->entries.size();
   for (size_t i = 0; i < count; i++) {
     const FlatWindow::Entry& e = es[i];
-    RelaxedCopyOut(dst + e.koff, slab.p + ks[i], e.klen);
+    RelaxedCopyOut(dst + e.koff, v.slab.p + ks[i], e.klen);
     if (vs[i] != 0) {
-      RelaxedCopyOut(dst + e.voff, slab.p + static_cast<uint32_t>(vs[i]),
+      RelaxedCopyOut(dst + e.voff, v.slab.p + static_cast<uint32_t>(vs[i]),
                      static_cast<uint32_t>(vs[i] >> 32));
     }
   }
@@ -1037,6 +977,12 @@ inline SpecWindow SpecFillWindow(const LeafStore& s, bool forward,
 // otherwise).
 inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
                    std::string_view value, uint32_t hash) {
+  // Splice positions come from the shared in-leaf search (key is absent),
+  // taken before the append while the indexes hold only the old ids.
+  const size_t kpos = SpecLowerBound(SpecOpen(*s, false), false, 0, key, false);
+  const size_t hpos =
+      direct_pos ? SpecLowerBound(SpecOpen(*s, true), true, hash, key, false)
+                 : 0;
   const uint16_t id = AppendRaw(s, key, value, direct_pos ? hash : 0);
   // The splice shifts the ordered tail one position right; every displaced
   // cell is rewritten through a relaxed store because the block is published.
@@ -1052,24 +998,8 @@ inline void Insert(LeafStore* s, bool direct_pos, std::string_view key,
     RelaxedStore16(p + pos, id);
     index->SetSize(old_n + 1);
   };
-  const auto kpos = static_cast<size_t>(
-      std::lower_bound(
-          s->by_key.begin(), s->by_key.end(), key,
-          [&](uint16_t a, std::string_view k) { return s->Key(a) < k; }) -
-      s->by_key.begin());
   splice(&s->by_key, kpos);
   if (direct_pos) {
-    const auto hpos = static_cast<size_t>(
-        std::lower_bound(s->by_hash.begin(), s->by_hash.end(), id,
-                         [&](uint16_t a, uint16_t b) {
-                           const LeafSlot& sa = s->slots[a];
-                           const LeafSlot& sb = s->slots[b];
-                           if (sa.hash != sb.hash) {
-                             return sa.hash < sb.hash;
-                           }
-                           return s->Key(a) < s->Key(b);
-                         }) -
-        s->by_hash.begin());
     splice(&s->by_hash, hpos);
   }
 }

@@ -117,9 +117,10 @@ struct Wormhole::Leaf {
   const std::string anchor;
   std::atomic<Leaf*> prev{nullptr};
   std::atomic<Leaf*> next{nullptr};
-  // Per-leaf reader-writer lock; below meta_mu_ in the hierarchy (a thread
-  // holding `lock` never acquires meta_mu_, and never a second leaf's lock).
-  mutable SharedMutex lock;
+  // Per-leaf lock: writers, and readers whose optimistic attempts failed;
+  // below meta_mu_ in the hierarchy (a thread holding `lock` never acquires
+  // meta_mu_, and never a second leaf's lock).
+  mutable Mutex lock;
   // Seqlock write counter (protocol helpers in leaf_ops.h): odd exactly while
   // a locked writer is inside a SeqlockWriteSection — every in-leaf mutation,
   // the split's store swap + linkage update, and removal — and a net +2 per
@@ -246,87 +247,118 @@ Wormhole::Node* Wormhole::LookupNode(const Table* t, uint32_t hash,
       t->buckets[hash & t->mask].load(std::memory_order_acquire), hash, prefix);
 }
 
-// hot-path: per-probe bucket dispatch
-Wormhole::Node* Wormhole::LookupChild(const Table* t, uint32_t hash,
-                                      std::string_view prefix, char extra) const {
-  return FindChildInChain(
-      t->buckets[hash & t->mask].load(std::memory_order_acquire), hash, prefix,
-      extra);
+// One key's route to its leaf: the LPM binary search over prefix lengths,
+// then at most one child probe. Each probe is split at its bucket-line load,
+// so RouteToLeaf can run the steps back to back and MultiGet can interleave
+// a group of routes around prefetches.
+struct Wormhole::Route {
+  std::string_view key;
+  size_t lo;  // LPM invariant: best->prefix.size() == lo, lo_state hashes
+  size_t hi;  // key[0, lo), and the match length lies in [lo, hi]
+  size_t m;   // prefix length of the pending LPM probe
+  uint32_t lo_state;
+  uint32_t probe_hash;  // hash of the pending probe's prefix
+  uint32_t kv_hash;     // DirectPos full-key hash, set once the LPM is done
+  uint32_t probes;      // MetaTrieHT probes consumed
+  Node* best;
+  const std::atomic<Bucket*>* slot;  // pending probe's bucket head slot
+  Leaf* leaf;  // once done; null if a node was observed mid-publication
+  char child_byte;
+  bool child;  // the pending probe is the child probe
+  bool done;
+};
+
+// hot-path: route setup
+[[gnu::always_inline]] inline void Wormhole::RouteBegin(
+    const Table* t, std::string_view key, Route* r) const {
+  r->key = key;
+  r->lo = 0;
+  r->hi = std::min(key.size(), max_anchor_len_.load(std::memory_order_relaxed));
+  r->lo_state = kCrc32cInit;
+  r->probes = 0;
+  r->best = root_;
+  r->child = false;
+  r->done = false;
+  RouteResolve(t, r);
 }
 
-// hot-path: the O(log L) binary search itself
-Wormhole::Node* Wormhole::Lpm(const Table* t, std::string_view key,
-                              uint32_t* state_out) const {
-  size_t lo = 0;
-  size_t hi = std::min(key.size(), max_anchor_len_.load(std::memory_order_relaxed));
-  uint32_t lo_state = kCrc32cInit;
-  Node* best = root_;
-  uint64_t probes = 0;
-  while (lo < hi) {
-    const size_t m = (lo + hi + 1) / 2;
-    const uint32_t st = opt_.inc_hashing
-                            ? Crc32cExtend(lo_state, key.data() + lo, m - lo)
-                            : Crc32cExtend(kCrc32cInit, key.data(), m);
-    probes++;
-    Node* n = LookupNode(t, st, key.substr(0, m));
-    if (n != nullptr) {
-      best = n;
-      lo = m;
-      lo_state = st;
-    } else {
-      hi = m - 1;
+// hot-path: one route step
+[[gnu::always_inline]] inline void Wormhole::RouteStep(
+    const Table* t, Route* r, const Bucket* line) const {
+  r->probes++;
+  if (r->child) {
+    Node* c = FindChildInChain(line, r->probe_hash, r->best->prefix,
+                               r->child_byte);
+    // A null child: the child bit and the bucket were observed from
+    // different instants.
+    r->leaf = c == nullptr ? nullptr : c->rmost.load(std::memory_order_acquire);
+    r->done = true;
+    return;
+  }
+  if (Node* n = FindNodeInChain(line, r->probe_hash, r->key.substr(0, r->m))) {
+    r->best = n;
+    r->lo = r->m;
+    r->lo_state = r->probe_hash;
+  } else {
+    r->hi = r->m - 1;
+  }
+  RouteResolve(t, r);
+}
+
+// hot-path: next probe, or the leaf
+[[gnu::always_inline]] inline void Wormhole::RouteResolve(const Table* t,
+                                                          Route* r) const {
+  const std::string_view key = r->key;
+  if (r->lo < r->hi) {
+    r->m = (r->lo + r->hi + 1) / 2;
+    r->probe_hash = opt_.inc_hashing
+                        ? Crc32cExtend(r->lo_state, key.data() + r->lo,
+                                       r->m - r->lo)
+                        : Crc32cExtend(kCrc32cInit, key.data(), r->m);
+    r->slot = &t->buckets[r->probe_hash & t->mask];
+    return;
+  }
+  // The LPM is done. Reuse its prefix state for the DirectPos full-key hash
+  // instead of rehashing the key from byte 0.
+  r->kv_hash = ExtendKvHash(opt_.direct_pos, r->lo_state, key, r->lo);
+  if (r->lo < key.size()) {
+    const int c = r->best->LargestChildLE(static_cast<uint8_t>(key[r->lo]));
+    if (c >= 0) {
+      r->child_byte = static_cast<char>(c);
+      r->probe_hash = Crc32cExtend(r->lo_state, &r->child_byte, 1);
+      r->slot = &t->buckets[r->probe_hash & t->mask];
+      r->child = true;
+      return;
     }
   }
+  Leaf* lm = r->best->lmost.load(std::memory_order_acquire);
+  r->leaf = lm == nullptr  // node observed mid-publication
+                ? nullptr
+                : (r->best->has_terminal.load(std::memory_order_acquire)
+                       ? lm
+                       : lm->prev.load(std::memory_order_acquire));
+  r->done = true;
+}
+
+void Wormhole::CountLookups(uint64_t lookups, uint64_t probes) const {
   if (opt_.count_probes) {
+    lookups_.fetch_add(lookups, std::memory_order_relaxed);
     probes_.fetch_add(probes, std::memory_order_relaxed);
   }
-  *state_out = lo_state;
-  return best;
 }
 
 // hot-path: every lookup routes through here
 Wormhole::Leaf* Wormhole::RouteToLeaf(std::string_view key,
                                       uint32_t* kv_hash) const {
-  if (opt_.count_probes) {
-    lookups_.fetch_add(1, std::memory_order_relaxed);
-  }
   const Table* t = table_.load(std::memory_order_acquire);
-  uint32_t state;
-  Node* n = Lpm(t, key, &state);
-  const size_t m = n->prefix.size();
-  // Reuse the LPM's incremental prefix state for the DirectPos full-key hash
-  // instead of rehashing the key from byte 0.
-  *kv_hash = ExtendKvHash(opt_.direct_pos, state, key, m);
-  if (m == key.size()) {
-    Leaf* lm = n->lmost.load(std::memory_order_acquire);
-    if (lm == nullptr) {
-      return nullptr;  // node observed mid-publication
-    }
-    return n->has_terminal.load(std::memory_order_acquire)
-               ? lm
-               : lm->prev.load(std::memory_order_acquire);
+  Route r;
+  RouteBegin(t, key, &r);
+  while (!r.done) {
+    RouteStep(t, &r, r.slot->load(std::memory_order_acquire));
   }
-  const uint8_t tb = static_cast<uint8_t>(key[m]);
-  const int c = n->LargestChildLE(tb);
-  if (c < 0) {
-    Leaf* lm = n->lmost.load(std::memory_order_acquire);
-    if (lm == nullptr) {
-      return nullptr;
-    }
-    return n->has_terminal.load(std::memory_order_acquire)
-               ? lm
-               : lm->prev.load(std::memory_order_acquire);
-  }
-  const char cb = static_cast<char>(c);
-  const uint32_t child_hash = Crc32cExtend(state, &cb, 1);
-  if (opt_.count_probes) {
-    probes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  Node* child = LookupChild(t, child_hash, n->prefix, cb);
-  if (child == nullptr) {
-    return nullptr;  // child bit and bucket observed from different instants
-  }
-  return child->rmost.load(std::memory_order_acquire);
+  CountLookups(1, r.probes);
+  *kv_hash = r.kv_hash;
+  return r.leaf;
 }
 
 // hot-path: per-acquire validation
@@ -374,7 +406,7 @@ Wormhole::SpecOutcome Wormhole::OptimisticLeafGet(Leaf* leaf,
   return r == leafops::SpecRead::kFound ? SpecOutcome::kHit : SpecOutcome::kMiss;
 }
 
-Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
+Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key,
                                       uint32_t* kv_hash) {
   for (int attempt = 0; attempt < 64; attempt++) {
     Leaf* leaf = RouteToLeaf(key, kv_hash);
@@ -382,30 +414,18 @@ Wormhole::Leaf* Wormhole::AcquireLeaf(std::string_view key, Mode mode,
       std::this_thread::yield();
       continue;
     }
-    if (mode == Mode::kShared) {
-      leaf->lock.lock_shared();
-    } else {
-      leaf->lock.lock();
-    }
+    leaf->lock.lock();
     if (Covers(leaf, key)) {
       return leaf;
     }
-    if (mode == Mode::kShared) {
-      leaf->lock.unlock_shared();
-    } else {
-      leaf->lock.unlock();
-    }
+    leaf->lock.unlock();
   }
   // Structural churn outran optimistic routing; serialize with the writers —
   // under meta_mu_ the trie is stable, so the route is exact.
   ScopedLock g(meta_mu_);
   Leaf* leaf = RouteToLeaf(key, kv_hash);
   assert(leaf != nullptr);
-  if (mode == Mode::kShared) {
-    leaf->lock.lock_shared();
-  } else {
-    leaf->lock.lock();
-  }
+  leaf->lock.lock();
   assert(Covers(leaf, key));
   return leaf;
 }
@@ -434,16 +454,16 @@ bool Wormhole::ReadKey(Leaf* leaf, std::string_view key, uint32_t kv_hash,
     leaf = nullptr;
   }
   // Fallback (also the whole path when optimistic_retries is 0): the same
-  // reader under the shared leaf lock, where no write section can be open,
-  // so validation cannot fail. AcquireLeaf locks + validates coverage with
+  // reader under the leaf lock, where no write section can be open, so
+  // validation cannot fail. AcquireLeaf locks + validates coverage with
   // bounded retries, serializing with structural writers in the limit —
   // readers cannot livelock.
   *routed = true;
   for (;;) {
-    leaf = AcquireLeaf(key, Mode::kShared, &kv_hash);
-    leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
+    leaf = AcquireLeaf(key, &kv_hash);
+    leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
     const SpecOutcome oc = OptimisticLeafGet(leaf, key, kv_hash, value);
-    leaf->lock.unlock_shared();
+    leaf->lock.unlock();
     if (oc != SpecOutcome::kRetry) {
       return oc == SpecOutcome::kHit;
     }
@@ -468,163 +488,50 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
   QsbrOp op(qsbr_);
   size_t found = 0;
 
-  // The batch runs as a staged pipeline over groups of kGroup keys: every
-  // round each in-flight key consumes the bucket line prefetched for it last
-  // round, decides its next LPM probe, and prefetches that probe's line while
-  // the other keys take their turns. The serial path pays each trie-walk
+  // The batch runs groups of kGroup Routes interleaved: every round each
+  // in-flight route loads its pending probe's bucket head and prefetches
+  // the line, then consumes the line and prefetches its next probe's bucket
+  // slot, or its resolved leaf's header. The serial path pays each trie-walk
   // cache miss back-to-back; here up to kGroup misses are in flight at once.
   constexpr size_t kGroup = 8;
-  struct Route {
-    size_t lo;   // LPM invariant: best->prefix.size() == lo and lo_state
-    size_t hi;   // hashes key[0, lo)
-    size_t m;    // candidate prefix length of the pending probe
-    uint32_t lo_state;
-    uint32_t probe_state;
-    uint32_t child_hash;
-    uint32_t kv_hash;
-    Node* best;
-    const std::atomic<Bucket*>* slot;  // pending probe's bucket head slot
-    const Bucket* line;                // loaded head for the pending probe
-    Leaf* leaf;
-    char child_byte;
-    bool lpm_done;
-    bool need_child;
-  };
   Route rt[kGroup];
-
+  const Bucket* lines[kGroup];
   for (size_t base = 0; base < n; base += kGroup) {
     const size_t g = std::min(kGroup, n - base);
     const Table* t = table_.load(std::memory_order_acquire);
-    const size_t anchor_cap = max_anchor_len_.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < g; i++) {
+      RouteBegin(t, keys[base + i], &rt[i]);
+      PrefetchRead(rt[i].done ? static_cast<const void*>(rt[i].leaf)
+                              : rt[i].slot);
+    }
+    for (bool active = true; active;) {
+      active = false;
+      for (size_t i = 0; i < g; i++) {
+        if (!rt[i].done) {
+          lines[i] = rt[i].slot->load(std::memory_order_acquire);
+          PrefetchRead(lines[i]);
+          active = true;
+        }
+      }
+      for (size_t i = 0; i < g; i++) {
+        if (!rt[i].done) {
+          RouteStep(t, &rt[i], lines[i]);
+          PrefetchRead(rt[i].done ? static_cast<const void*>(rt[i].leaf)
+                                  : rt[i].slot);
+        }
+      }
+    }
+
+    // Validate, don't lock. Each key runs serial Get's reader, seeded with
+    // its route's leaf as the first candidate (its header is already in
+    // cache). The fast path touches no leaf lock at all.
     uint64_t probes = 0;
-
-    // Stage 1: interleaved LPM binary searches. Two sub-passes per round so
-    // the bucket-slot load and the line fetch both overlap across keys.
-    size_t active = 0;
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      const std::string_view key = keys[base + i];
-      r.lo = 0;
-      r.hi = std::min(key.size(), anchor_cap);
-      r.lo_state = kCrc32cInit;
-      r.best = root_;
-      r.leaf = nullptr;
-      r.kv_hash = 0;
-      r.lpm_done = r.lo >= r.hi;
-      if (!r.lpm_done) {
-        r.m = (r.lo + r.hi + 1) / 2;
-        r.probe_state =
-            opt_.inc_hashing
-                ? Crc32cExtend(r.lo_state, key.data() + r.lo, r.m - r.lo)
-                : Crc32cExtend(kCrc32cInit, key.data(), r.m);
-        r.slot = &t->buckets[r.probe_state & t->mask];
-        PrefetchRead(r.slot);
-        active++;
-      }
-    }
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      if (!r.lpm_done) {
-        r.line = r.slot->load(std::memory_order_acquire);
-        PrefetchRead(r.line);
-      }
-    }
-    while (active > 0) {
-      for (size_t i = 0; i < g; i++) {
-        Route& r = rt[i];
-        if (r.lpm_done) {
-          continue;
-        }
-        const std::string_view key = keys[base + i];
-        probes++;
-        Node* nd = FindNodeInChain(r.line, r.probe_state, key.substr(0, r.m));
-        if (nd != nullptr) {
-          r.best = nd;
-          r.lo = r.m;
-          r.lo_state = r.probe_state;
-        } else {
-          r.hi = r.m - 1;
-        }
-        if (r.lo >= r.hi) {
-          r.lpm_done = true;
-          active--;
-          continue;
-        }
-        r.m = (r.lo + r.hi + 1) / 2;
-        r.probe_state =
-            opt_.inc_hashing
-                ? Crc32cExtend(r.lo_state, key.data() + r.lo, r.m - r.lo)
-                : Crc32cExtend(kCrc32cInit, key.data(), r.m);
-        r.slot = &t->buckets[r.probe_state & t->mask];
-        PrefetchRead(r.slot);
-      }
-      for (size_t i = 0; i < g; i++) {
-        Route& r = rt[i];
-        if (!r.lpm_done) {
-          r.line = r.slot->load(std::memory_order_acquire);
-          PrefetchRead(r.line);
-        }
-      }
-    }
-
-    // Stage 2: resolve nodes to leaves, deriving each full-key hash from the
-    // LPM prefix state; child descents get the same two-step prefetch, and
-    // every resolved leaf's header line is prefetched ahead of stage 3.
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      const std::string_view key = keys[base + i];
-      r.kv_hash = ExtendKvHash(opt_.direct_pos, r.lo_state, key, r.lo);
-      r.need_child = false;
-      if (r.lo < key.size()) {
-        const int c = r.best->LargestChildLE(static_cast<uint8_t>(key[r.lo]));
-        if (c >= 0) {
-          r.child_byte = static_cast<char>(c);
-          r.child_hash = Crc32cExtend(r.lo_state, &r.child_byte, 1);
-          r.slot = &t->buckets[r.child_hash & t->mask];
-          PrefetchRead(r.slot);
-          r.need_child = true;
-          probes++;
-        }
-      }
-      if (!r.need_child) {
-        Leaf* lm = r.best->lmost.load(std::memory_order_acquire);
-        r.leaf = lm == nullptr
-                     ? nullptr
-                     : (r.best->has_terminal.load(std::memory_order_acquire)
-                            ? lm
-                            : lm->prev.load(std::memory_order_acquire));
-        PrefetchRead(r.leaf);
-      }
-    }
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      if (r.need_child) {
-        r.line = r.slot->load(std::memory_order_acquire);
-        PrefetchRead(r.line);
-      }
-    }
-    for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
-      if (!r.need_child) {
-        continue;
-      }
-      Node* child =
-          FindChildInChain(r.line, r.child_hash, r.best->prefix, r.child_byte);
-      r.leaf =
-          child == nullptr ? nullptr : child->rmost.load(std::memory_order_acquire);
-      PrefetchRead(r.leaf);
-    }
-
-    // Stage 3: validate, don't lock. Each key runs serial Get's reader,
-    // seeded with the pipelined route as the first candidate (its leaf
-    // header is already in cache from stage 2). The fast path touches no
-    // leaf lock at all.
     size_t rerouted = 0;  // keys whose re-route/fallback self-counted lookups
     for (size_t i = 0; i < g; i++) {
-      Route& r = rt[i];
+      probes += rt[i].probes;
       std::string* out = &(*values)[base + i];
       bool routed = false;
-      if (ReadKey(r.leaf, keys[base + i], r.kv_hash, out, &routed)) {
+      if (ReadKey(rt[i].leaf, keys[base + i], rt[i].kv_hash, out, &routed)) {
         (*hits)[base + i] = 1;
         found++;
       } else {
@@ -634,13 +541,10 @@ size_t Wormhole::MultiGet(const std::vector<std::string_view>& keys,
         rerouted++;
       }
     }
-    if (opt_.count_probes) {
-      // A re-routed or fallback key's lookups are counted by RouteToLeaf (per
-      // attempt, matching the serial Get path); counting those keys here as
-      // well would inflate probes-per-lookup relative to serial measurements.
-      lookups_.fetch_add(g - rerouted, std::memory_order_relaxed);
-      probes_.fetch_add(probes, std::memory_order_relaxed);
-    }
+    // A re-routed or fallback key's lookups are counted by RouteToLeaf (per
+    // attempt, matching the serial Get path); counting those keys here as
+    // well would inflate probes-per-lookup relative to serial measurements.
+    CountLookups(g - rerouted, probes);
   }
   return found;
 }
@@ -659,7 +563,7 @@ void Wormhole::MultiPut(
       if (leaf != nullptr) {
         leaf->lock.unlock();
       }
-      leaf = AcquireLeaf(key, Mode::kExclusive, &h);
+      leaf = AcquireLeaf(key, &h);
     }
     const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
     if (slot >= 0) {
@@ -689,7 +593,7 @@ void Wormhole::MultiPut(
 void Wormhole::Put(std::string_view key, std::string_view value) {
   QsbrOp op(qsbr_);
   uint32_t h;
-  Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
+  Leaf* leaf = AcquireLeaf(key, &h);
   leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
   const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
   if (slot >= 0) {
@@ -746,7 +650,7 @@ void Wormhole::PutSlow(std::string_view key, std::string_view value) {
 bool Wormhole::Delete(std::string_view key) {
   QsbrOp op(qsbr_);
   uint32_t h;
-  Leaf* leaf = AcquireLeaf(key, Mode::kExclusive, &h);
+  Leaf* leaf = AcquireLeaf(key, &h);
   leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
   const int slot = leafops::FindSlot(leaf->store, opt_.direct_pos, key, h);
   if (slot < 0) {
@@ -812,8 +716,8 @@ bool Wormhole::DeleteSlow(std::string_view key) {
 // its block, then an acquire fence + version re-read + dead-flag recheck).
 // It runs lock-free first, exactly like Get; after Options::optimistic_retries
 // lost races (or from the start when that is 0) the operation reruns it under
-// the leaf's shared lock, where no write section can be open and validation
-// cannot fail — only a moved or retired leaf still re-routes. Once an
+// the leaf lock, where no write section can be open and validation cannot
+// fail — only a moved or retired leaf still re-routes. Once an
 // operation takes the lock it stays locked: bouncing back into speculation
 // under the very churn that defeated it would burn retries without bounding
 // the work. Hops and continuations revalidate against the snapshot version
@@ -958,11 +862,11 @@ class Wormhole::CursorImpl final : public Cursor {
   // bound_ backward) for positioning/continuation fills, or the leaf edge
   // for hop fills (which check only the dead flag — a hop target
   // legitimately does not cover bound_). Lock-free it performs no atomic
-  // RMW on any outcome; under the shared lock only kMoved (or a retired
-  // hop target) can fail it.
+  // RMW on any outcome; under the leaf lock only kMoved (or a retired hop
+  // target) can fail it.
   // NO_TSA: the seqlock-reader shape (sync.h usage rules) — reads
   // GUARDED_BY(leaf->lock) data with no lock held (or, as the fallback,
-  // with it held shared) and discards the result unless the version
+  // with it held) and discards the result unless the version
   // validates; the TSan hammer tests exercise the race.
   template <bool kFwd>
   SpecFill TrySpecFill(Leaf* leaf, bool has_bound) NO_THREAD_SAFETY_ANALYSIS {
@@ -994,13 +898,13 @@ class Wormhole::CursorImpl final : public Cursor {
     return SpecFill::kOk;
   }
 
-  // TrySpecFill, run under leaf->lock held shared when `locked`.
+  // TrySpecFill, run under leaf->lock when `locked`.
   template <bool kFwd>
   SpecFill Fill(Leaf* leaf, bool has_bound, bool locked) {
     if (!locked) {
       return TrySpecFill<kFwd>(leaf, has_bound);
     }
-    ScopedReadLock lk(leaf->lock);
+    ScopedLock lk(leaf->lock);
     return TrySpecFill<kFwd>(leaf, has_bound);
   }
 
@@ -1055,10 +959,10 @@ class Wormhole::CursorImpl final : public Cursor {
       uint32_t h;
       SpecFill oc = SpecFill::kRetry;
       if (locked) {
-        Leaf* leaf = wh_->AcquireLeaf(bound_, Mode::kShared, &h);
-        leaf->lock.AssertReaderHeld();  // handed over by AcquireLeaf (NO_TSA)
+        Leaf* leaf = wh_->AcquireLeaf(bound_, &h);
+        leaf->lock.AssertHeld();  // handed over by AcquireLeaf (NO_TSA)
         oc = TrySpecFill<kFwd>(leaf, /*has_bound=*/true);
-        leaf->lock.unlock_shared();
+        leaf->lock.unlock();
       } else if (Leaf* leaf = wh_->RouteToLeaf(bound_, &h)) {
         oc = TrySpecFill<kFwd>(leaf, /*has_bound=*/true);
       }
@@ -1394,7 +1298,7 @@ uint64_t Wormhole::MemoryBytes() const {
   ScopedLock g(meta_mu_);  // structure is stable underneath
   uint64_t total = sizeof(*this);
   for (Leaf* l = head_; l != nullptr; l = l->next.load(std::memory_order_relaxed)) {
-    ScopedReadLock lk(l->lock);
+    ScopedLock lk(l->lock);
     total += sizeof(Leaf) + StrHeapBytes(l->anchor);
     total += leafops::MemoryBytes(l->store, opt_.direct_pos);
   }

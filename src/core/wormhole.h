@@ -58,9 +58,11 @@
 //     cores.
 //   - One reader per operation, not two: after Options::optimistic_retries
 //     failed attempts (or from the start when that is 0) the operation
-//     reruns the SAME reader while holding the target leaf's lock in shared
-//     mode. No write section can be open under that lock, so validation
-//     cannot fail; only a moved or retired leaf still re-routes.
+//     reruns the SAME reader while holding the target leaf's lock — the
+//     one mutex writers take; the fallback serves well under 1% of reads
+//     even under split/merge churn, so a shared mode would buy nothing. No
+//     write section can be open under it, so validation cannot fail; only
+//     a moved or retired leaf still re-routes.
 //     AcquireLeaf takes the lock, validates coverage, retries a stale route,
 //     and after a bounded number of attempts serializes with structural
 //     writers, so readers cannot livelock under write storms. The cursor
@@ -93,7 +95,7 @@
 //     unchanged, leaf not dead. A validated window is a consistent snapshot
 //     taken with ZERO atomic RMW: read-only scans never write a leaf lock
 //     word or any other shared cache line. After Options::optimistic_retries
-//     failed validations the same fill reruns under the leaf's shared lock
+//     failed validations the same fill reruns under the leaf lock
 //     (routed through AcquireLeaf when positioning), exactly like Get.
 //     While a validated window drains, the cursor prefetches the NEXT leaf's
 //     rank index / slot array / slab — issued only once no lock is held (the
@@ -161,7 +163,7 @@ struct Options {
   // Clamped to [4, 4096]: leaf indexes use 16-bit slot ids.
   size_t leaf_capacity = 128;
   // Lock-free seqlock-validated read attempts (Get, MultiGet, cursor fills)
-  // before an operation reruns its reader under the shared leaf lock. 0
+  // before an operation reruns its reader under the leaf lock. 0
   // disables the lock-free attempts entirely (every read locks) — the
   // forced-fallback tests pin it there to exercise the fallback
   // deterministically.
@@ -178,8 +180,8 @@ struct WormholeStats {
 };
 
 // The Wormhole index: lock-free lookups through the MetaTrieHT, per-leaf
-// reader-writer locks for item access, QSBR reclamation for structural
-// changes. See the header comment for the full concurrency model.
+// locks for writers (and for readers' rare fallback), QSBR reclamation for
+// structural changes. See the header comment for the full concurrency model.
 class Wormhole {
  public:
   Wormhole() : Wormhole(Options()) {}
@@ -217,14 +219,14 @@ class Wormhole {
 
   // Batched point lookups. values and hits are resized to keys.size(); on a
   // miss the value slot is cleared and the hit byte is 0. The whole batch
-  // runs under one quiescent-state report. Keys are routed through a
-  // prefetch-interleaved pipeline in groups of ~8: each round issues one LPM
-  // hash probe per in-flight key and prefetches the next bucket line while
-  // the other keys' probes execute, then leaf headers are prefetched before
-  // the in-leaf searches run — so the batch overlaps the memory latencies a
-  // serial loop would pay back-to-back. Stage 3 serves each key with Get's
-  // reader (ReadKey; the pipelined route is the first candidate), so the
-  // batch fast path touches no leaf lock at all. Returns the hit count.
+  // runs under one quiescent-state report. Keys are routed in groups of 8 by
+  // the same Route steps Get uses, interleaved: each round every in-flight
+  // route consumes one prefetched bucket line and prefetches its next probe
+  // (or its leaf's header) while the other routes take their turns — so the
+  // batch overlaps the memory latencies a serial loop would pay
+  // back-to-back. Each key is then served by Get's reader (ReadKey; its
+  // route's leaf is the first candidate), so the batch fast path touches no
+  // leaf lock at all. Returns the hit count.
   size_t MultiGet(const std::vector<std::string_view>& keys,
                   std::vector<std::string>* values, std::vector<uint8_t>* hits)
       EXCLUDES(meta_mu_);
@@ -232,7 +234,8 @@ class Wormhole {
   // Batched Put with the same amortization: one quiescent-state report for
   // the batch, and consecutive keys hitting the same leaf reuse the held
   // exclusive lock (a Put that needs a split falls back to the slow path).
-  // NO_TSA: same loop-carried held-lock reuse as MultiGet, exclusive mode.
+  // NO_TSA: loop-carried held-lock reuse (the lock taken for one key stays
+  // held for the next while it covers it).
   void MultiPut(
       const std::vector<std::pair<std::string_view, std::string_view>>& items)
       EXCLUDES(meta_mu_) NO_THREAD_SAFETY_ANALYSIS;
@@ -251,17 +254,23 @@ class Wormhole {
   using Bucket = metabucket::BucketLine<Node>;
   struct Table;
 
-  enum class Mode { kShared, kExclusive };
-
   // Lock-free read path.
   Node* FindNodeInChain(const Bucket* b, uint32_t hash,
                         std::string_view prefix) const;
   Node* FindChildInChain(const Bucket* b, uint32_t hash, std::string_view prefix,
                          char extra) const;
   Node* LookupNode(const Table* t, uint32_t hash, std::string_view prefix) const;
-  Node* LookupChild(const Table* t, uint32_t hash, std::string_view prefix,
-                    char extra) const;
-  Node* Lpm(const Table* t, std::string_view key, uint32_t* state_out) const;
+  // One key's route as a state machine (the struct is in wormhole.cc).
+  // RouteBegin sets up the first probe; RouteStep consumes one probe's
+  // bucket line (an LPM probe or the child probe); RouteResolve picks the
+  // next LPM probe, or once the LPM is done the leaf or the child probe.
+  // RouteToLeaf runs one Route to completion; MultiGet interleaves eight.
+  struct Route;
+  void RouteBegin(const Table* t, std::string_view key, Route* r) const;
+  void RouteStep(const Table* t, Route* r, const Bucket* line) const;
+  void RouteResolve(const Table* t, Route* r) const;
+  // The one place lookups and probes are counted (Options::count_probes).
+  void CountLookups(uint64_t lookups, uint64_t probes) const;
   // Best-effort route to the covering leaf; may return nullptr or a stale
   // leaf during a concurrent structural change (callers validate + retry).
   // When DirectPos is on and the route succeeds, *kv_hash receives the
@@ -269,22 +278,22 @@ class Wormhole {
   Leaf* RouteToLeaf(std::string_view key, uint32_t* kv_hash) const;
   // Route + lock + validate, retrying on concurrent splits/merges; falls back
   // to serializing with structural writers after bounded retries. Returns the
-  // leaf with its lock held in `mode` and fills *kv_hash as RouteToLeaf does.
+  // leaf with its lock held and fills *kv_hash as RouteToLeaf does.
   // NO_TSA: which leaf lock is taken is data-dependent (the routed leaf), and
   // the function returns with it held — a transfer TSA cannot express.
-  // Callers immediately re-assert the held lock (AssertHeld/AssertReaderHeld)
-  // so analysis resumes on their side; TSan covers the waived path.
-  Leaf* AcquireLeaf(std::string_view key, Mode mode, uint32_t* kv_hash)
+  // Callers immediately re-assert the held lock (AssertHeld) so analysis
+  // resumes on their side; TSan covers the waived path.
+  Leaf* AcquireLeaf(std::string_view key, uint32_t* kv_hash)
       NO_THREAD_SAFETY_ANALYSIS;
   static bool Covers(const Leaf* leaf, std::string_view key);
 
   enum class SpecOutcome { kHit, kMiss, kRetry };
   // One seqlock-bracketed read attempt against a routed leaf candidate —
-  // lock-free, or under leaf->lock held shared as the fallback. kHit/kMiss
+  // lock-free, or under leaf->lock as the fallback. kHit/kMiss
   // are validated verdicts (the leaf version held still across the
   // speculative copy); kRetry means the snapshot was unusable — odd/changed
   // version, dead leaf, key outside the anchor range, or an internally
-  // impossible store snapshot. Under the shared lock only the dead-leaf and
+  // impossible store snapshot. Under the lock only the dead-leaf and
   // anchor-range cases can occur. On kMiss/kRetry *value may hold scribbled
   // bytes.
   // NO_TSA: the seqlock-reader shape (sync.h usage rules) — reads
@@ -296,7 +305,7 @@ class Wormhole {
   // Get's and MultiGet's one reader for one key: Options::optimistic_retries
   // lock-free OptimisticLeafGet attempts (the first against `leaf` when it
   // is non-null, each later one freshly routed), then the same call under
-  // the shared leaf lock. Sets *routed when RouteToLeaf ran (it counts its
+  // the leaf lock. Sets *routed when RouteToLeaf ran (it counts its
   // own lookups). On a miss *value may hold scribbled bytes.
   bool ReadKey(Leaf* leaf, std::string_view key, uint32_t kv_hash,
                std::string* value, bool* routed) EXCLUDES(meta_mu_);

@@ -77,9 +77,6 @@ void Service::RecoverShardFromDisk(Shard* shard, size_t shard_index) {
 
 void Service::Execute(const std::vector<Request>& batch,
                       std::vector<Response>* responses) {
-  // Uncontended in today's fixed-topology service; pins the shard set for
-  // the whole batch once live resharding takes the exclusive side.
-  ScopedReadLock topo(topo_mu_);
   // Reuses the caller's response storage (service.h): kept slots keep their
   // heap capacity, and one pass resets each to a fresh Response's state.
   // Scan slots keep their items for ExecuteScan to overwrite in place.
@@ -325,7 +322,6 @@ void Service::ExecuteScan(size_t first_shard, const Request& req,
 }
 
 durability::Status Service::Checkpoint() {
-  ScopedReadLock topo(topo_mu_);
   if (!dur_.enabled) {
     return durability::Status::Error("Checkpoint: durability not enabled");
   }
@@ -363,7 +359,6 @@ durability::Status Service::Checkpoint() {
 }
 
 durability::Status Service::durability_status() const {
-  ScopedReadLock topo(topo_mu_);
   for (const auto& shard : shards_) {
     if (shard->failed.load(std::memory_order_acquire)) {
       ScopedLock g(shard->wal_mu);
@@ -374,7 +369,6 @@ durability::Status Service::durability_status() const {
 }
 
 size_t Service::size() const {
-  ScopedReadLock topo(topo_mu_);
   size_t total = 0;
   for (const auto& s : shards_) {
     total += s->index->size();
@@ -383,7 +377,6 @@ size_t Service::size() const {
 }
 
 uint64_t Service::MemoryBytes() const {
-  ScopedReadLock topo(topo_mu_);
   uint64_t total = sizeof(*this);
   for (const auto& s : shards_) {
     total += sizeof(Shard) + sizeof(Qsbr) + s->index->MemoryBytes();

@@ -9,10 +9,10 @@
 // array parallel to the batch. Within a shard, maximal runs of consecutive
 // Gets and Puts are executed through the core's batch entry points
 // (Wormhole::MultiGet / MultiPut), which serve a whole run under one
-// quiescent-state report and reuse a held leaf lock across keys that land in
-// the same leaf; MultiGet additionally routes the run through the core's
-// prefetch-interleaved lookup pipeline (~8 trie walks in flight at once) —
-// the QSBR-, lock- and memory-latency amortization that makes batching pay.
+// quiescent-state report; MultiPut reuses a held leaf lock across keys that
+// land in the same leaf, and MultiGet interleaves its keys' trie walks (8 in
+// flight at once) — the QSBR-, lock- and memory-latency amortization that
+// makes batching pay.
 //
 // Ordering contract: requests to the same shard (hence: all requests touching
 // any single key) are applied in batch order. Requests to different shards
@@ -132,29 +132,27 @@ class Service {
   // holds: pass the same vector batch after batch and scan items overwrite
   // the previous batch's strings in place instead of reallocating them. The
   // vector keeps that capacity afterwards; a caller done with it releases it
-  // by swapping in an empty vector. EXCLUDES(topo_mu_) is the annotated form
-  // of the threading contract above: any number of client threads may call
-  // concurrently (each takes topo_mu_ shared itself), but never from a
-  // context already holding the topology lock.
+  // by swapping in an empty vector. Any number of client threads may call
+  // concurrently (the threading contract above).
   void Execute(const std::vector<Request>& batch,
-               std::vector<Response>* responses) EXCLUDES(topo_mu_);
+               std::vector<Response>* responses);
 
-  // Equal to shards_.size() by construction, without touching guarded state.
+  // Equal to shards_.size() by construction.
   size_t shard_count() const { return router_.shard_count(); }
   const ShardRouter& router() const { return router_; }
 
   // Total item count / footprint across shards (not atomic across them).
-  size_t size() const EXCLUDES(topo_mu_);
-  uint64_t MemoryBytes() const EXCLUDES(topo_mu_);
+  size_t size() const;
+  uint64_t MemoryBytes() const;
 
   // Durable mode: snapshots every shard (epoch-pinned cursor sweep; writers
   // stay live) and truncates each WAL at its snapshot floor. Returns the
   // first error; an error from shard i leaves shards 0..i-1 checkpointed.
-  durability::Status Checkpoint() EXCLUDES(topo_mu_);
+  durability::Status Checkpoint();
 
   // First durability error across shards (recovery failure or a failed
   // append/fsync that tripped fail-stop); ok when everything is healthy.
-  durability::Status durability_status() const EXCLUDES(topo_mu_);
+  durability::Status durability_status() const;
 
   bool durable() const { return dur_.enabled; }
 
@@ -198,14 +196,13 @@ class Service {
                    const uint32_t* idx, size_t idx_n,
                    std::vector<Response>* responses, ExecScratch* scratch,
                    std::vector<std::unique_ptr<Cursor>>* scan_cursors,
-                   bool apply_mutations) REQUIRES_SHARED(topo_mu_);
+                   bool apply_mutations);
 
   // *cursors is Execute()'s per-batch shard-cursor cache: slot s holds the
   // cursor for shard s once any scan in the batch has touched it (empty
   // until the batch's first scan resizes it).
   void ExecuteScan(size_t first_shard, const Request& req, Response* resp,
-                   std::vector<std::unique_ptr<Cursor>>* cursors)
-      REQUIRES_SHARED(topo_mu_);
+                   std::vector<std::unique_ptr<Cursor>>* cursors);
 
   // Constructor-time recovery of one shard: snapshot + WAL tail into the
   // empty index, then Wal::Open on the same dir. Errors mark the shard
@@ -214,16 +211,12 @@ class Service {
 
   ShardRouter router_;  // immutable after construction (see shard_router.h)
   DurabilityOptions dur_;
-  // Guards the shard topology (the vector itself, not the Wormholes behind
-  // it — each shard index has its own internal synchronization). Today the
-  // topology is fixed after construction, so the shared side is uncontended
-  // and effectively free; the exclusive side is the hook ROADMAP's live
-  // resharding will take to swap shard sets under running Executes.
-  mutable SharedMutex topo_mu_;
-  // unique_ptr elements: Shard carries a Mutex (immovable), and stable Shard
-  // addresses are what lets Execute hold a shard's wal_mu while other
-  // threads touch the vector's other elements.
-  std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(topo_mu_);
+  // Fixed after construction (the shard topology never changes), so
+  // concurrent Executes read it without a lock; each shard index has its own
+  // internal synchronization. unique_ptr elements: Shard carries a Mutex
+  // (immovable), and stable Shard addresses are what lets Execute hold a
+  // shard's wal_mu while other threads touch the vector's other elements.
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace wh

@@ -154,7 +154,10 @@ TEST(WormholeBatch, MultiGetMatchesGet) {
 // present, absent-from-pool, and structurally-adversarial (prefix/extension)
 // probe keys mixed in. Both at the default options and at the Fig. 11 base
 // configuration (every lookup optimization off, split-point heuristic on):
-// the pipeline has its own inc_hashing and direct_pos branches.
+// the pipeline has its own inc_hashing and direct_pos branches. Probe
+// accounting too (perfbench's core.probes_per_lookup): on this quiescent
+// index no key re-routes, so each batch must count exactly the lookups and
+// MetaTrieHT probes that serial Gets of the same keys count.
 TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
   Options base;
   base.tag_matching = false;
@@ -172,6 +175,7 @@ TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
       const auto pool = GenerateKeyset({id, 600, 17});
       Options opt = config.second;
       opt.leaf_capacity = 16;  // deep trie, many leaves
+      opt.count_probes = true;
       Wormhole index(opt);
       for (size_t i = 0; i < pool.size(); i++) {
         if (i % 3 != 0) {  // every third pool key stays absent
@@ -197,7 +201,9 @@ TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
       std::vector<std::string> values;
       std::vector<uint8_t> hits;
       const auto check_batch = [&](const std::vector<std::string_view>& batch) {
+        const WormholeStats before = index.stats();
         const size_t found = index.MultiGet(batch, &values, &hits);
+        const WormholeStats batched = index.stats();
         ASSERT_EQ(values.size(), batch.size());
         size_t expect_found = 0;
         for (size_t i = 0; i < batch.size(); i++) {
@@ -212,6 +218,12 @@ TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
           }
         }
         ASSERT_EQ(found, expect_found);
+        const WormholeStats serial = index.stats();
+        ASSERT_EQ(batched.lookups - before.lookups, batch.size());
+        ASSERT_EQ(batched.lookups - before.lookups,
+                  serial.lookups - batched.lookups);
+        ASSERT_EQ(batched.probes - before.probes,
+                  serial.probes - batched.probes);
       };
 
       // Batch sizes straddling the pipeline group size, over shuffled probes.
@@ -225,7 +237,7 @@ TEST(WormholeBatch, MultiGetInterleavedMatchesSerialOnAllKeysets) {
         check_batch(batch);
         bsize = bsize % 21 + 1;  // 1..21: partial, exact, and multi-group
       }
-      // One sorted full-pool batch: maximizes the held-lock reuse path.
+      // One sorted full-pool batch: consecutive keys share leaves.
       std::vector<std::string_view> sorted_batch(pool.begin(), pool.end());
       std::sort(sorted_batch.begin(), sorted_batch.end());
       check_batch(sorted_batch);
